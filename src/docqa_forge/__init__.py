@@ -12,7 +12,6 @@ from .graphs import (
     build_graphs,
     build_logical_graph,
     build_spatial_graph,
-    query_related,
 )
 from .ingest import (
     assign_reading_order,
@@ -24,7 +23,6 @@ from .ingest import (
     validate_for_generation,
 )
 from .model import Document, DocElement, ElementCategory, Page, TaskId
-from .oracle import oracle_execute
 from .programs import AnswerValue, FunctionalProgram, compile_program, execute, scope_for
 from .templates import (
     QuestionTemplate,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 
 from .generator import QARecord
@@ -52,38 +53,41 @@ def _survivors(members: list[QARecord], cap: int, seed: int, salt: str) -> set[s
     return {r.qid for r in ranked[:cap]}
 
 
-def balance_answers(records: list[QARecord], cfg: BalanceConfig) -> list[QARecord]:
-    """Cap every answer class at ceil(r_a x smallest nonempty class) per group."""
+def _answer_class(record: QARecord) -> str:
+    return record.answer.canonical()
+
+
+def _combo(record: QARecord) -> str:
+    return canonical_binding(record.binding)
+
+
+def _balance_stage(records, cfg: BalanceConfig, stage: str, bucket_of, cap_of):
+    """Cap every bucket of every A/B group at cap_of(bucket sizes); Task C passes."""
     keep: set[str] = set()
     for (task, pattern), members in _grouped(records).items():
         if task == TaskId.C.value:
             keep.update(r.qid for r in members)
             continue
-        classes: dict[str, list[QARecord]] = {}
+        buckets: dict[str, list[QARecord]] = {}
         for r in members:
-            classes.setdefault(r.answer.canonical(), []).append(r)
-        smallest = min(len(rs) for rs in classes.values())
-        cap = math.ceil(cfg.answer_ratio * smallest)
-        for label, rs in classes.items():
-            keep.update(_survivors(rs, cap, cfg.seed, f"ans|{task}|{pattern}|{label}"))
+            buckets.setdefault(bucket_of(r), []).append(r)
+        cap = cap_of([len(rs) for rs in buckets.values()])
+        for bucket, rs in buckets.items():
+            keep.update(_survivors(rs, cap, cfg.seed, f"{stage}|{task}|{pattern}|{bucket}"))
     return [r for r in records if r.qid in keep]
+
+
+def balance_answers(records: list[QARecord], cfg: BalanceConfig) -> list[QARecord]:
+    """Cap every answer class at ceil(r_a x smallest nonempty class) per group."""
+    return _balance_stage(records, cfg, "ans", _answer_class,
+                          lambda sizes: math.ceil(cfg.answer_ratio * min(sizes)))
 
 
 def balance_parameters(records: list[QARecord], cfg: BalanceConfig) -> list[QARecord]:
     """Cap every parameter-value combination at ceil(r_p x median combo count)."""
-    keep: set[str] = set()
-    for (task, pattern), members in _grouped(records).items():
-        if task == TaskId.C.value:
-            keep.update(r.qid for r in members)
-            continue
-        combos: dict[str, list[QARecord]] = {}
-        for r in members:
-            combos.setdefault(canonical_binding(r.binding), []).append(r)
-        median = statistics.median(sorted(len(rs) for rs in combos.values()))
-        cap = max(1, math.ceil(cfg.param_ratio * median))
-        for combo, rs in combos.items():
-            keep.update(_survivors(rs, cap, cfg.seed, f"par|{task}|{pattern}|{combo}"))
-    return [r for r in records if r.qid in keep]
+    return _balance_stage(
+        records, cfg, "par", _combo,
+        lambda sizes: max(1, math.ceil(cfg.param_ratio * statistics.median(sorted(sizes)))))
 
 
 def balance(records: list[QARecord], cfg: BalanceConfig) -> list[QARecord]:
@@ -97,24 +101,10 @@ def reduction_factor(before: int, after: int) -> float | None:
     return round(before / after, 2)
 
 
-def _class_ratio(members) -> float | None:
-    sizes: dict[str, int] = {}
-    for r in members:
-        label = r.answer.canonical()
-        sizes[label] = sizes.get(label, 0) + 1
-    if not sizes:
-        return None
-    return max(sizes.values()) / min(sizes.values())
-
-
-def _combo_ratio(members) -> float | None:
-    sizes: dict[str, int] = {}
-    for r in members:
-        combo = canonical_binding(r.binding)
-        sizes[combo] = sizes.get(combo, 0) + 1
-    if not sizes:
-        return None
-    return max(sizes.values()) / statistics.median(sorted(sizes.values()))
+def _skew(members, bucket_of, typical) -> float:
+    """Largest bucket size over typical(sorted bucket sizes) in one nonempty group."""
+    sizes = Counter(bucket_of(r) for r in members)
+    return max(sizes.values()) / typical(sorted(sizes.values()))
 
 
 def balance_report(before: list[QARecord], after: list[QARecord]) -> dict:
@@ -128,19 +118,19 @@ def balance_report(before: list[QARecord], after: list[QARecord]) -> dict:
             "after": n_after,
             "reduction_factor": reduction_factor(n_before, n_after),
         }
-    for name, metric in (("answer_class_ratio", _class_ratio),
-                         ("param_combo_ratio", _combo_ratio)):
+    groups = _grouped(after)
+    for name, bucket_of, typical in (("answer_class_ratio", _answer_class, min),
+                                     ("param_combo_ratio", _combo, statistics.median)):
         per_task: dict[str, float | None] = {}
         for task in TaskId:
             if task == TaskId.C:
                 per_task[task.value] = None
                 continue
             ratios = [
-                metric(members)
-                for (t, _), members in _grouped(after).items()
+                _skew(members, bucket_of, typical)
+                for (t, _), members in groups.items()
                 if t == task.value
             ]
-            ratios = [r for r in ratios if r is not None]
             per_task[task.value] = round(max(ratios), 4) if ratios else None
         report[name] = per_task
     return report

@@ -9,12 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from pathlib import Path
 
 from .balance import BalanceConfig, balance_answers, balance_parameters, balance_report
 from .dataset import (
+    DatasetSplit,
     atomic_write_json,
+    atomic_write_text,
     compute_stats,
     read_dataset,
     read_records_jsonl,
@@ -61,15 +65,26 @@ def load_corpus(path) -> list[Document]:
     return [preprocess_document(parse_document(data))]
 
 
+def _number(convert, low, high=math.inf):
+    """argparse type for a finite number of the given kind in [low, high]."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            message = f"not a valid {convert.__name__}: {text!r}"
+            raise argparse.ArgumentTypeError(message) from exc
+        if not (math.isfinite(value) and low <= value <= high):
+            bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {text!r}")
+        return value
+    return parse
+
+
 def _ratios(text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("ratios must be three comma-separated numbers")
-    try:
-        values = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return values
+    return tuple(_number(float, 0)(p) for p in parts)
 
 
 def _tasks(text: str):
@@ -123,9 +138,7 @@ def _write_traces(records, corpus, path) -> None:
         _, trace = execute_with_trace(program, scope_for(record.task, doc, page),
                                       graphs[record.doc_id])
         lines.append(json.dumps({"qid": record.qid, "trace": trace}))
-    from .dataset import _atomic_write_text
-
-    _atomic_write_text(Path(path), ("\n".join(lines) + "\n") if lines else "")
+    atomic_write_text(Path(path), ("\n".join(lines) + "\n") if lines else "")
 
 
 def _cmd_balance(args) -> int:
@@ -154,8 +167,6 @@ def _cmd_stats(args) -> int:
     if len(inputs) == 1 and inputs[0].is_dir():
         splits = read_dataset(inputs[0])
     else:
-        from .dataset import DatasetSplit
-
         splits = []
         for path in inputs:
             records = read_records_jsonl(path)
@@ -244,10 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tasks", type=_tasks, default=("A", "B", "C"))
-    p.add_argument("--na-rate", type=float, default=0.1)
-    p.add_argument("--template-cap", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker count; FORGE_THREADS is the fallback (0 = auto)")
+    p.add_argument("--na-rate", type=_number(float, 0, 1), default=0.1)
+    p.add_argument("--template-cap", type=_number(int, 0), default=None)
+    # A string default goes through `type` too, so a bad FORGE_THREADS is a usage error.
+    p.add_argument("--workers", type=_number(int, 0),
+                   default=os.environ.get("FORGE_THREADS") or None,
+                   help="worker count, 0 = auto (default: FORGE_THREADS, else 1)")
     p.add_argument("--manifest", default=None)
     p.add_argument("--trace", default=None, help="write per-question program traces")
     p.set_defaults(func=_cmd_generate)
@@ -256,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--answer-ratio", type=float, default=1.5)
-    p.add_argument("--param-ratio", type=float, default=2.0)
+    p.add_argument("--answer-ratio", type=_number(float, 1), default=1.5)
+    p.add_argument("--param-ratio", type=_number(float, 1), default=2.0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_balance)
 

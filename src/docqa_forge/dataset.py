@@ -12,13 +12,9 @@ from .errors import BadRatios, IoFailure, SchemaViolation
 from .generator import QARecord
 from .model import TaskId
 from .programs import AnswerValue
-from .templates import QuestionType, load_templates
+from .templates import SLOT_VALUES, QuestionType, load_templates
 
 SPLIT_NAMES = ("train", "valid", "test")
-
-_TEXT_SLOT_KINDS = {
-    "page_title_anchor", "doc_title_text", "doc_title_anchor", "float_label", "cite_key",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -106,16 +102,20 @@ def record_from_json(data) -> QARecord:
 def write_records_jsonl(records, path) -> None:
     lines = [json.dumps(record_to_json(r), ensure_ascii=True) for r in records]
     payload = ("\n".join(lines) + "\n") if lines else ""
-    _atomic_write_text(Path(path), payload)
+    atomic_write_text(Path(path), payload)
 
 
-def read_records_jsonl(path) -> list[QARecord]:
+def jsonl_lines(path):
+    """Yield (lineno, value) for each nonblank line of a JSONL file.
+
+    Raises IoFailure when the file cannot be read and SchemaViolation naming
+    path:lineno when a line is not valid JSON.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -123,11 +123,14 @@ def read_records_jsonl(path) -> list[QARecord]:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaViolation(f"{path}:{lineno}: not valid JSON") from exc
-        records.append(record_from_json(data))
-    return records
+        yield lineno, data
 
 
-def _atomic_write_text(path: Path, payload: str) -> None:
+def read_records_jsonl(path) -> list[QARecord]:
+    return [record_from_json(data) for _, data in jsonl_lines(path)]
+
+
+def atomic_write_text(path: Path, payload: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -139,7 +142,7 @@ def _atomic_write_text(path: Path, payload: str) -> None:
 
 
 def atomic_write_json(path, data) -> None:
-    _atomic_write_text(Path(path), json.dumps(data, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(Path(path), json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +228,7 @@ def anonymized_pattern(record: QARecord) -> str:
     tpl = load_templates().by_id(record.template_id)
     text = record.question
     for slot in tpl.slots:
-        if slot.kind not in _TEXT_SLOT_KINDS:
+        if slot.kind in SLOT_VALUES:
             continue
         value = str(record.binding[slot.name])
         surface = f"'{value}'" if slot.quoted else value

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import IoFailure, KindMismatch, MissingPrediction, SchemaViolation, UnknownQid
+from .dataset import answer_from_json, jsonl_lines
+from .errors import KindMismatch, MissingPrediction, SchemaViolation, UnknownQid
 from .generator import QARecord
 from .model import TaskId
 from .programs import AnswerValue
@@ -19,15 +18,6 @@ _LEGAL_KINDS = {
     TaskId.C: {"index_set", "na"},
 }
 
-_QTYPE_COLUMNS = (
-    QuestionType.EXISTENCE,
-    QuestionType.COUNTING,
-    QuestionType.STRUCTURAL_UNDERSTANDING,
-    QuestionType.OBJECT_RECOGNITION,
-    QuestionType.PARENT_RELATION,
-    QuestionType.CHILD_RELATION,
-)
-
 _QTYPE_HEADERS = {
     QuestionType.EXISTENCE: "Existence",
     QuestionType.COUNTING: "Counting",
@@ -38,28 +28,10 @@ _QTYPE_HEADERS = {
 }
 
 
-@dataclass(frozen=True)
-class Prediction:
-    qid: str
-    answer: AnswerValue
-
-
 def read_predictions_jsonl(path) -> dict[str, AnswerValue]:
-    from .dataset import answer_from_json
-
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
     preds: dict[str, AnswerValue] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"{path}:{lineno}: not valid JSON") from exc
+    for lineno, data in jsonl_lines(path):
         if not isinstance(data, dict) or not isinstance(data.get("qid"), str):
             raise SchemaViolation(f"{path}:{lineno}: prediction needs a qid")
         preds[data["qid"]] = answer_from_json(data.get("answer"))
@@ -187,9 +159,9 @@ def evaluate(gold: list[QARecord], preds: dict[str, AnswerValue],
 
 def breakdown(report: dict) -> str:
     """Aligned text table in the six-qtype column ordering, plus overalls."""
-    headers = [_QTYPE_HEADERS[q] for q in _QTYPE_COLUMNS] + ["A", "B", "C"]
+    headers = [_QTYPE_HEADERS[q] for q in QuestionType] + ["A", "B", "C"]
     cells = []
-    for qtype in _QTYPE_COLUMNS:
+    for qtype in QuestionType:
         task_report = report["tasks"].get(qtype.task.value)
         value = None if task_report is None else task_report["per_qtype"].get(qtype.value)
         cells.append("-" if value is None else f"{value:.1f}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .errors import AnchorNotFound, OverflowAnswer
 from .graphs import GraphBundle, build_graphs
 from .hashing import stable_hex, stable_unit
-from .ingest import validate_for_generation
+from .ingest import Exclusion, validate_for_generation
 from .model import Document, Page, TaskId
 from .programs import AnswerValue, compile_program, execute, scope_for
 from .templates import (
@@ -41,6 +41,8 @@ class GenConfig:
     def __post_init__(self):
         if not 0.0 <= self.na_retention <= 1.0:
             raise ValueError("na_retention must be in [0, 1]")
+        if self.per_template_cap is not None and self.per_template_cap < 0:
+            raise ValueError("per_template_cap must be >= 0")
         for t in self.tasks:
             TaskId(t)
 
@@ -65,19 +67,6 @@ class QARecord:
     template_id: str
     binding: dict
     answer: AnswerValue
-
-
-@dataclass(frozen=True)
-class Exclusion:
-    doc_id: str
-    task: str
-    scope: str
-    page_index: int | None
-    reason: str
-
-    def as_dict(self) -> dict:
-        return {"doc_id": self.doc_id, "task": self.task, "scope": self.scope,
-                "page_index": self.page_index, "reason": self.reason}
 
 
 @dataclass
@@ -176,10 +165,7 @@ def _document_job(args) -> tuple[str, list[QARecord], list[Exclusion]]:
         if task_value not in cfg.tasks:
             continue
         report = validate_for_generation(doc, TaskId(task_value))
-        excluded.extend(
-            Exclusion(doc.doc_id, task_value, e.scope, e.page_index, e.reason)
-            for e in report.excluded
-        )
+        excluded.extend(report.excluded)
         if ab_pages is None and report.document_eligible:
             ab_pages = list(report.eligible_pages)
     if ab_pages:
@@ -189,10 +175,7 @@ def _document_job(args) -> tuple[str, list[QARecord], list[Exclusion]]:
 
     if TaskId.C.value in cfg.tasks:
         report = validate_for_generation(doc, TaskId.C)
-        excluded.extend(
-            Exclusion(doc.doc_id, "C", e.scope, e.page_index, e.reason)
-            for e in report.excluded
-        )
+        excluded.extend(report.excluded)
         if report.document_eligible:
             records.extend(generate_document(doc, graphs, registry, cfg))
     return doc.doc_id, records, excluded

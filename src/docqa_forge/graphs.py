@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .errors import CyclicParentInput, DanglingParent, UnknownElement
 from .geometry import COARSE_ADMITS, SpatialRelation, spatial_relation
-from .ingest import CAPTION_MAX_GAP
+from .ingest import pair_captions
 from .model import Document, ElementCategory, Page
 
 ROOT = None  # parent value for elements attached directly to the document root
@@ -58,11 +58,6 @@ def build_spatial_graph(page: Page) -> SpatialGraph:
         element_ids=frozenset(el.id for el in page.elements),
         edges={src: tuple(sorted(outs)) for src, outs in edges.items()},
     )
-
-
-def query_related(graph: SpatialGraph, anchor_id: str, rel: SpatialRelation,
-                  coarse: bool = False) -> set[str]:
-    return graph.related(anchor_id, rel, coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -116,39 +111,20 @@ class LogicalGraph:
 
 
 def _pair_captions(doc: Document) -> dict[str, str]:
-    """Re-derive which caption owns which float (float id -> caption id).
+    """Float id -> caption id, from the caption-labelled elements of each page.
 
-    Mirrors the caption-association geometry but runs over caption-labelled
-    elements, so it also covers captions provided directly in the input.
+    Running over caption labels also covers captions given in the input.
+    Tables and figures never compete for a caption, so each kind is paired
+    on its own.
     """
-    owners: dict[str, tuple[float, int, str]] = {}  # caption id -> (gap, float ri, float id)
+    caption_of: dict[str, str] = {}
     for page in doc.pages:
-        for anchor in page.elements:
-            if not anchor.category.is_float:
-                continue
-            wanted = (ElementCategory.TABLE_CAPTION
-                      if anchor.category == ElementCategory.TABLE
-                      else ElementCategory.FIGURE_CAPTION)
-            below, above = [], []
-            for cap in page.elements:
-                if cap.category != wanted:
-                    continue
-                gap = anchor.bbox.edge_gap(cap.bbox)
-                if gap > CAPTION_MAX_GAP:
-                    continue
-                entry = (gap, cap.page_reading_index, cap)
-                if cap.bbox.center[1] >= anchor.bbox.center[1]:
-                    below.append(entry)
-                else:
-                    above.append(entry)
-            group = below or above
-            if not group:
-                continue
-            gap, _, cap = min(group, key=lambda t: (t[0], t[1]))
-            held = owners.get(cap.id)
-            if held is None or (gap, anchor.page_reading_index) < (held[0], held[1]):
-                owners[cap.id] = (gap, anchor.page_reading_index, anchor.id)
-    return {float_id: cap_id for cap_id, (_, _, float_id) in owners.items()}
+        for kind in (ElementCategory.TABLE, ElementCategory.FIGURE):
+            anchors = [el for el in page.elements if el.category == kind]
+            captions = [el for el in page.elements if el.category == kind.caption_kind]
+            for cap_id, anchor in pair_captions(anchors, captions).items():
+                caption_of[anchor.id] = cap_id
+    return caption_of
 
 
 def build_logical_graph(doc: Document) -> LogicalGraph:

@@ -216,54 +216,42 @@ def assign_document_order(doc: Document) -> Document:
 # Caption association
 # ---------------------------------------------------------------------------
 
-def associate_captions(page: Page) -> Page:
-    """Relabel the Text nearest each Table/Figure as its caption.
+def pair_captions(anchors, candidates) -> dict[str, DocElement]:
+    """Pair floats with their captions on one page; returns caption id -> float.
 
-    Candidates below the anchor win over candidates above; the edge-to-edge
-    gap is capped at CAPTION_MAX_GAP. A Text claimed by several anchors goes
-    to the nearest one (ties to the smaller anchor reading index); anchors
-    that lose their only candidate get no caption.
+    Each anchor proposes its nearest candidate within CAPTION_MAX_GAP of
+    edge-to-edge gap; candidates below the anchor win over candidates above,
+    and ties go to the smaller reading index. A candidate proposed by several
+    anchors goes to the nearest one (ties to the smaller anchor reading
+    index); anchors that lose their only candidate get no caption.
     """
-    anchors = sorted(
-        (el for el in page.elements if el.category.is_float),
-        key=lambda e: e.page_reading_index,
-    )
-    texts = [el for el in page.elements if el.category == ElementCategory.TEXT]
-    if not anchors or not texts:
-        return page
-
-    proposals: list[tuple[str, float, int, DocElement]] = []  # (text_id, gap, anchor_ri, anchor)
+    owners: dict[str, tuple[float, int, DocElement]] = {}  # caption id -> (gap, anchor ri, anchor)
     for anchor in anchors:
         _, acy = anchor.bbox.center
         below, above = [], []
-        for text in texts:
-            gap = anchor.bbox.edge_gap(text.bbox)
+        for cand in candidates:
+            gap = anchor.bbox.edge_gap(cand.bbox)
             if gap > CAPTION_MAX_GAP:
                 continue
-            entry = (gap, text.page_reading_index, text)
-            (below if text.bbox.center[1] >= acy else above).append(entry)
+            entry = (gap, cand.page_reading_index, cand)
+            (below if cand.bbox.center[1] >= acy else above).append(entry)
         group = below or above
         if not group:
             continue
-        gap, _, text = min(group, key=lambda t: (t[0], t[1]))
-        proposals.append((text.id, gap, anchor.page_reading_index, anchor))
+        gap, _, cand = min(group, key=lambda t: (t[0], t[1]))
+        held = owners.get(cand.id)
+        if held is None or (gap, anchor.page_reading_index) < (held[0], held[1]):
+            owners[cand.id] = (gap, anchor.page_reading_index, anchor)
+    return {cand_id: anchor for cand_id, (_, _, anchor) in owners.items()}
 
-    winners: dict[str, tuple[float, int, DocElement]] = {}
-    for text_id, gap, anchor_ri, anchor in proposals:
-        held = winners.get(text_id)
-        if held is None or (gap, anchor_ri) < (held[0], held[1]):
-            winners[text_id] = (gap, anchor_ri, anchor)
 
-    relabel = {
-        text_id: (
-            ElementCategory.TABLE_CAPTION
-            if anchor.category == ElementCategory.TABLE
-            else ElementCategory.FIGURE_CAPTION
-        )
-        for text_id, (_, _, anchor) in winners.items()
-    }
+def associate_captions(page: Page) -> Page:
+    """Relabel the Text nearest each Table/Figure as its caption (see pair_captions)."""
+    anchors = [el for el in page.elements if el.category.is_float]
+    texts = [el for el in page.elements if el.category == ElementCategory.TEXT]
+    owners = pair_captions(anchors, texts)
     elements = tuple(
-        el.with_category(relabel[el.id]) if el.id in relabel else el
+        el.with_category(owners[el.id].category.caption_kind) if el.id in owners else el
         for el in page.elements
     )
     return replace(page, elements=elements)
@@ -319,35 +307,40 @@ def preprocess_document(doc: Document) -> Document:
 
 
 @dataclass(frozen=True)
-class ExclusionEntry:
+class Exclusion:
+    """A page or document left out of one task's generation, as the manifest lists it."""
+
+    doc_id: str
+    task: str
     scope: str  # "page" or "document"
     page_index: int | None
     reason: str
 
     def as_dict(self) -> dict:
-        return {"scope": self.scope, "page_index": self.page_index, "reason": self.reason}
+        return {"doc_id": self.doc_id, "task": self.task, "scope": self.scope,
+                "page_index": self.page_index, "reason": self.reason}
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     task: TaskId
     doc_id: str
-    excluded: tuple[ExclusionEntry, ...]
+    excluded: tuple[Exclusion, ...]
     eligible_pages: tuple[int, ...]
     document_eligible: bool
 
 
 def validate_for_generation(doc: Document, task: TaskId) -> ValidationReport:
     """Flag over-limit pages/documents; never raises, only reports."""
-    excluded: list[ExclusionEntry] = []
+    excluded: list[Exclusion] = []
     if doc.element_count == 0:
-        excluded.append(ExclusionEntry("document", None, "no elements"))
+        excluded.append(Exclusion(doc.doc_id, task.value, "document", None, "no elements"))
         return ValidationReport(task, doc.doc_id, tuple(excluded), (), False)
 
     if task == TaskId.C:
         if doc.element_count > DOC_ELEMENT_LIMIT:
-            excluded.append(ExclusionEntry(
-                "document", None,
+            excluded.append(Exclusion(
+                doc.doc_id, task.value, "document", None,
                 f"{doc.element_count} elements exceed limit {DOC_ELEMENT_LIMIT}"))
             return ValidationReport(task, doc.doc_id, tuple(excluded), (), False)
         return ValidationReport(task, doc.doc_id, (), tuple(p.index for p in doc.pages), True)
@@ -355,8 +348,8 @@ def validate_for_generation(doc: Document, task: TaskId) -> ValidationReport:
     eligible = []
     for page in doc.pages:
         if len(page.elements) > PAGE_ELEMENT_LIMIT:
-            excluded.append(ExclusionEntry(
-                "page", page.index,
+            excluded.append(Exclusion(
+                doc.doc_id, task.value, "page", page.index,
                 f"{len(page.elements)} elements exceed limit {PAGE_ELEMENT_LIMIT}"))
         else:
             eligible.append(page.index)

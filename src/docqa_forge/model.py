@@ -34,6 +34,13 @@ class ElementCategory(str, Enum):
     def is_caption(self) -> bool:
         return self in (ElementCategory.TABLE_CAPTION, ElementCategory.FIGURE_CAPTION)
 
+    @property
+    def caption_kind(self) -> "ElementCategory":
+        """The caption category that pairs with this float category."""
+        if self == ElementCategory.TABLE:
+            return ElementCategory.TABLE_CAPTION
+        return ElementCategory.FIGURE_CAPTION
+
 
 # Labels a question may name; asking about plain text blocks is not useful.
 QUESTION_LABELS = ("figure", "list", "table", "title")
@@ -87,12 +94,6 @@ class Document:
     def elements(self):
         for page in self.pages:
             yield from page.elements
-
-    def element_by_id(self, element_id: str) -> DocElement | None:
-        for el in self.elements():
-            if el.id == element_id:
-                return el
-        return None
 
     @property
     def element_count(self) -> int:

@@ -54,10 +54,6 @@ class FunctionalProgram:
     steps: tuple[Step, ...]
     task: TaskId
 
-    @property
-    def final_kind(self) -> str:
-        return SIGNATURES[self.steps[-1].op][1]
-
 
 @dataclass(frozen=True)
 class AnswerValue:
@@ -215,11 +211,9 @@ def _described_by(el: DocElement, graphs: GraphBundle,
     if el.category == ElementCategory.TITLE or el.category.is_caption:
         return el
     if el.category.is_float:
-        wanted = (ElementCategory.TABLE_CAPTION
-                  if el.category == ElementCategory.TABLE
-                  else ElementCategory.FIGURE_CAPTION)
         parent_id = graphs.logical.parent(el.id)
         parent = by_id.get(parent_id) if parent_id else None
+        wanted = el.category.caption_kind
         return parent if parent is not None and parent.category == wanted else None
     return _owning_title(el, graphs, by_id)
 

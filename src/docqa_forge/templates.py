@@ -40,12 +40,16 @@ RELATION_PHRASES: dict[str, tuple[str, ...]] = {
     "bottom-right": ("on the bottom-right of",),
 }
 
-_PHRASE_TO_RELATION = {
-    phrase: rel for rel, phrases in RELATION_PHRASES.items() for phrase in phrases
+# Closed-vocabulary slot kinds and the values each may take. Every other kind
+# is filled with text taken from the document.
+SLOT_VALUES: dict[str, tuple] = {
+    "label": QUESTION_LABELS,
+    "position": REGION_NAMES,
+    "relation": REGION_NAMES,
+    "relation_word": REGION_NAMES,
+    "num": (1, 2, 3, 4, 5),
+    "turn": ("first", "last"),
 }
-
-NUM_VALUES = (1, 2, 3, 4, 5)
-TURN_VALUES = ("first", "last")
 
 
 class QuestionType(str, Enum):
@@ -116,10 +120,6 @@ def canonical_binding(binding: dict) -> str:
 # Registry data
 # ---------------------------------------------------------------------------
 
-def _slots(*specs) -> tuple[SlotSpec, ...]:
-    return tuple(specs)
-
-
 _E = lambda kind, **kw: SlotSpec("E", kind, **kw)  # noqa: E731
 _E1 = lambda **kw: SlotSpec("E1", "label", **kw)  # noqa: E731
 _E2 = SlotSpec("E2", "page_title_anchor", quoted=True)
@@ -132,150 +132,150 @@ _TURN = SlotSpec("turn", "turn")
 _ROWS: tuple[tuple[str, QuestionType, str, str, tuple[SlotSpec, ...]], ...] = (
     # --- Task A: existence -------------------------------------------------
     ("A01", QuestionType.EXISTENCE, "exist_pos",
-     "Is there any [E] on the [pos] of this page?", _slots(_E("label"), _POS)),
+     "Is there any [E] on the [pos] of this page?", (_E("label"), _POS)),
     ("A02", QuestionType.EXISTENCE, "exist_pos",
-     "Can you find any [E] on the [pos] of this page?", _slots(_E("label"), _POS)),
+     "Can you find any [E] on the [pos] of this page?", (_E("label"), _POS)),
     ("A03", QuestionType.EXISTENCE, "exist_pos",
-     "On the [pos] of this page, is there a [E]?", _slots(_E("label"), _POS)),
+     "On the [pos] of this page, is there a [E]?", (_E("label"), _POS)),
     ("A04", QuestionType.EXISTENCE, "exist_pos_neg",
-     "Is it correct that there is no [E] at the [pos]?", _slots(_E("label"), _POS)),
+     "Is it correct that there is no [E] at the [pos]?", (_E("label"), _POS)),
     ("A05", QuestionType.EXISTENCE, "exist_pos",
      "When you check the [pos] of this page, can you find any [E]?",
-     _slots(_E("label"), _POS)),
+     (_E("label"), _POS)),
     ("A06", QuestionType.EXISTENCE, "exist_rel",
-     "Are there any [E1] are [R] the [E2]?", _slots(_E1(plural=True), _R, _E2)),
+     "Are there any [E1] are [R] the [E2]?", (_E1(plural=True), _R, _E2)),
     ("A07", QuestionType.EXISTENCE, "exist_rel",
-     "Can you find any [E1] [R] the [E2]?", _slots(_E1(), _R, _E2)),
+     "Can you find any [E1] [R] the [E2]?", (_E1(), _R, _E2)),
     ("A08", QuestionType.EXISTENCE, "exist_rel",
-     "Is there a [E1] found [R] the [E2]?", _slots(_E1(), _R, _E2)),
+     "Is there a [E1] found [R] the [E2]?", (_E1(), _R, _E2)),
     ("A09", QuestionType.EXISTENCE, "exist_rel_neg",
-     "Is it correct that there is no [E1] [R] the [E2]?", _slots(_E1(), _R, _E2)),
+     "Is it correct that there is no [E1] [R] the [E2]?", (_E1(), _R, _E2)),
     ("A10", QuestionType.EXISTENCE, "exist_rel",
-     "Confirm if there are any [E1] [R] the [E2]?", _slots(_E1(plural=True), _R, _E2)),
+     "Confirm if there are any [E1] [R] the [E2]?", (_E1(plural=True), _R, _E2)),
     ("A11", QuestionType.EXISTENCE, "exist_rel",
-     "When you check the page, is there any [E1] [R] the [E2]?", _slots(_E1(), _R, _E2)),
+     "When you check the page, is there any [E1] [R] the [E2]?", (_E1(), _R, _E2)),
     ("A12", QuestionType.EXISTENCE, "exist_bare",
-     "Is there any [E]?", _slots(_E("label"))),
+     "Is there any [E]?", (_E("label"),)),
     ("A13", QuestionType.EXISTENCE, "exist_bare",
-     "Are there any [E] on this page?", _slots(_E("label", plural=True))),
+     "Are there any [E] on this page?", (_E("label", plural=True),)),
     ("A14", QuestionType.EXISTENCE, "exist_bare",
-     "Is there a [E] in this page?", _slots(_E("label"))),
+     "Is there a [E] in this page?", (_E("label"),)),
     ("A15", QuestionType.EXISTENCE, "exist_bare",
-     "Can you find a [E] on this page?", _slots(_E("label"))),
+     "Can you find a [E] on this page?", (_E("label"),)),
     ("A16", QuestionType.EXISTENCE, "exist_bare",
-     "When you check this page, can you find any [E]?", _slots(_E("label"))),
+     "When you check this page, can you find any [E]?", (_E("label"),)),
     ("A17", QuestionType.EXISTENCE, "exist_title",
-     "Is there a [E] on this page?", _slots(_E("doc_title_text", quoted=True))),
+     "Is there a [E] on this page?", (_E("doc_title_text", quoted=True),)),
     ("A18", QuestionType.EXISTENCE, "exist_title",
-     "Can you find a [E] on this page?", _slots(_E("doc_title_text", quoted=True))),
+     "Can you find a [E] on this page?", (_E("doc_title_text", quoted=True),)),
     ("A19", QuestionType.EXISTENCE, "exist_title",
-     "Does this page include a [E]?", _slots(_E("doc_title_text", quoted=True))),
+     "Does this page include a [E]?", (_E("doc_title_text", quoted=True),)),
     ("A20", QuestionType.EXISTENCE, "exist_title",
-     "Can [E] be found on this page?", _slots(_E("doc_title_text", quoted=True))),
+     "Can [E] be found on this page?", (_E("doc_title_text", quoted=True),)),
     ("A21", QuestionType.EXISTENCE, "exist_title",
      "When you check this page, can you find [E]?",
-     _slots(_E("doc_title_text", quoted=True))),
+     (_E("doc_title_text", quoted=True),)),
     ("A22", QuestionType.EXISTENCE, "exist_title",
      "Confirm if there is [E] on this page.",
-     _slots(_E("doc_title_text", quoted=True, article=True))),
+     (_E("doc_title_text", quoted=True, article=True),)),
     # --- Task A: counting ---------------------------------------------------
     ("A23", QuestionType.COUNTING, "count_rel",
-     "How many [E1] are [R] the [E2]?", _slots(_E1(plural=True), _R, _E2)),
+     "How many [E1] are [R] the [E2]?", (_E1(plural=True), _R, _E2)),
     ("A24", QuestionType.COUNTING, "count_rel",
-     "What is the number of [E1] [R] the [E2]?", _slots(_E1(plural=True), _R, _E2)),
+     "What is the number of [E1] [R] the [E2]?", (_E1(plural=True), _R, _E2)),
     ("A25", QuestionType.COUNTING, "count_rel",
-     "How many [E1] can you find on the [R] of [E2]?", _slots(_E1(plural=True), _RW, _E2)),
+     "How many [E1] can you find on the [R] of [E2]?", (_E1(plural=True), _RW, _E2)),
     ("A26", QuestionType.COUNTING, "count_rel",
-     "Count the number of [E1] on the [R] of [E2].", _slots(_E1(plural=True), _RW, _E2)),
+     "Count the number of [E1] on the [R] of [E2].", (_E1(plural=True), _RW, _E2)),
     ("A27", QuestionType.COUNTING, "count_rel",
      "When you check this page, how many [E1] can you find on the [R] of [E2]?",
-     _slots(_E1(plural=True), _RW, _E2)),
+     (_E1(plural=True), _RW, _E2)),
     ("A28", QuestionType.COUNTING, "count_verify",
-     "Can you find [num] [E](s) on the page?", _slots(_NUM, _E("label"))),
+     "Can you find [num] [E](s) on the page?", (_NUM, _E("label"))),
     ("A29", QuestionType.COUNTING, "count_verify",
-     "Does this page include [num] [E](s)", _slots(_NUM, _E("label"))),
+     "Does this page include [num] [E](s)", (_NUM, _E("label"))),
     ("A30", QuestionType.COUNTING, "count_verify",
-     "Confirm if there are [num] [E](s) on this page.", _slots(_NUM, _E("label"))),
+     "Confirm if there are [num] [E](s) on this page.", (_NUM, _E("label"))),
     ("A31", QuestionType.COUNTING, "count_verify",
-     "Are there [num] [E](s) on this page?", _slots(_NUM, _E("label"))),
+     "Are there [num] [E](s) on this page?", (_NUM, _E("label"))),
     ("A32", QuestionType.COUNTING, "count_verify",
-     "Is there only [num] [E](s) on this page?", _slots(_NUM, _E("label"))),
+     "Is there only [num] [E](s) on this page?", (_NUM, _E("label"))),
     ("A33", QuestionType.COUNTING, "count_bare",
-     "How many [E]s on this page?", _slots(_E("label"))),
+     "How many [E]s on this page?", (_E("label"),)),
     ("A34", QuestionType.COUNTING, "count_bare",
-     "When you check this page, how many [E]s are on this page?", _slots(_E("label"))),
+     "When you check this page, how many [E]s are on this page?", (_E("label"),)),
     ("A35", QuestionType.COUNTING, "count_bare",
-     "What is the number of [E]s on this page?", _slots(_E("label"))),
+     "What is the number of [E]s on this page?", (_E("label"),)),
     ("A36", QuestionType.COUNTING, "count_bare",
-     "How many [E]s can be found on this page?", _slots(_E("label"))),
+     "How many [E]s can be found on this page?", (_E("label"),)),
     # --- Task B: structural understanding -----------------------------------
     ("B01", QuestionType.STRUCTURAL_UNDERSTANDING, "b_turn",
-     "What is the [turn] section in this page?", _slots(_TURN)),
+     "What is the [turn] section in this page?", (_TURN,)),
     ("B02", QuestionType.STRUCTURAL_UNDERSTANDING, "b_turn",
-     "Can you describe the [turn] section of this page?", _slots(_TURN)),
+     "Can you describe the [turn] section of this page?", (_TURN,)),
     ("B03", QuestionType.STRUCTURAL_UNDERSTANDING, "b_turn",
-     "What does the [turn] section include in this page?", _slots(_TURN)),
+     "What does the [turn] section include in this page?", (_TURN,)),
     ("B04", QuestionType.STRUCTURAL_UNDERSTANDING, "b_turn",
-     "What is the main contents of the [turn] section in this page?", _slots(_TURN)),
+     "What is the main contents of the [turn] section in this page?", (_TURN,)),
     ("B05", QuestionType.STRUCTURAL_UNDERSTANDING, "b_turn",
      "When you check the [turn] section of this page, what information can you get?",
-     _slots(_TURN)),
+     (_TURN,)),
     ("B06", QuestionType.STRUCTURAL_UNDERSTANDING, "b_pos",
-     "What is the [pos] section about?", _slots(_POS)),
+     "What is the [pos] section about?", (_POS,)),
     ("B07", QuestionType.STRUCTURAL_UNDERSTANDING, "b_pos",
-     "What is the [pos] of the page about?", _slots(_POS)),
+     "What is the [pos] of the page about?", (_POS,)),
     ("B08", QuestionType.STRUCTURAL_UNDERSTANDING, "b_pos",
-     "What is the topic of [pos] section?", _slots(_POS)),
+     "What is the topic of [pos] section?", (_POS,)),
     ("B09", QuestionType.STRUCTURAL_UNDERSTANDING, "b_pos",
-     "Can you describe the main topic of the [pos] section?", _slots(_POS)),
+     "Can you describe the main topic of the [pos] section?", (_POS,)),
     ("B10", QuestionType.STRUCTURAL_UNDERSTANDING, "b_pos",
-     "When you check the [pos] of this page, what information can you get?", _slots(_POS)),
+     "When you check the [pos] of this page, what information can you get?", (_POS,)),
     # --- Task B: object recognition ------------------------------------------
     ("B11", QuestionType.OBJECT_RECOGNITION, "b_objrec",
-     "What is the [E] on the [pos] of the page?", _slots(_E("label"), _POS)),
+     "What is the [E] on the [pos] of the page?", (_E("label"), _POS)),
     ("B12", QuestionType.OBJECT_RECOGNITION, "b_objrec",
-     "What is the [pos] [E] about?", _slots(_E("label"), _POS)),
+     "What is the [pos] [E] about?", (_E("label"), _POS)),
     ("B13", QuestionType.OBJECT_RECOGNITION, "b_objrec",
-     "Can you describe the [E] on the [pos] of the page?", _slots(_E("label"), _POS)),
+     "Can you describe the [E] on the [pos] of the page?", (_E("label"), _POS)),
     ("B14", QuestionType.OBJECT_RECOGNITION, "b_objrec",
-     "What information does the [pos] [E] contain?", _slots(_E("label"), _POS)),
+     "What information does the [pos] [E] contain?", (_E("label"), _POS)),
     ("B15", QuestionType.OBJECT_RECOGNITION, "b_objrec",
      "When you check the [pos] [E], what information can you get?",
-     _slots(_E("label"), _POS)),
+     (_E("label"), _POS)),
     # --- Task C: child relation ----------------------------------------------
     ("C01", QuestionType.CHILD_RELATION, "c_child",
-     "What does the [E] include?", _slots(_E("doc_title_anchor"))),
+     "What does the [E] include?", (_E("doc_title_anchor"),)),
     ("C02", QuestionType.CHILD_RELATION, "c_child",
-     "What is the [E] about?", _slots(_E("doc_title_anchor"))),
+     "What is the [E] about?", (_E("doc_title_anchor"),)),
     ("C03", QuestionType.CHILD_RELATION, "c_child",
-     "What subsections are in the [E]?", _slots(_E("doc_title_anchor"))),
+     "What subsections are in the [E]?", (_E("doc_title_anchor"),)),
     ("C04", QuestionType.CHILD_RELATION, "c_child",
-     "What subsections can be found in the [E]?", _slots(_E("doc_title_anchor"))),
+     "What subsections can be found in the [E]?", (_E("doc_title_anchor"),)),
     ("C05", QuestionType.CHILD_RELATION, "c_child",
-     "When you check the [E], which subsections are included?", _slots(_E("doc_title_anchor"))),
+     "When you check the [E], which subsections are included?", (_E("doc_title_anchor"),)),
     # --- Task C: parent relation ----------------------------------------------
     ("C06", QuestionType.PARENT_RELATION, "c_parent_float",
-     "Which section does describe the [E] ?", _slots(_E("float_label"))),
+     "Which section does describe the [E] ?", (_E("float_label"),)),
     ("C07", QuestionType.PARENT_RELATION, "c_parent_float",
-     "Which section does include the description of the [E]?", _slots(_E("float_label"))),
+     "Which section does include the description of the [E]?", (_E("float_label"),)),
     ("C08", QuestionType.PARENT_RELATION, "c_parent_float",
-     "Name out the section that include the [E].", _slots(_E("float_label"))),
+     "Name out the section that include the [E].", (_E("float_label"),)),
     ("C09", QuestionType.PARENT_RELATION, "c_parent_float",
-     "Where can you find the [E]?", _slots(_E("float_label"))),
+     "Where can you find the [E]?", (_E("float_label"),)),
     ("C10", QuestionType.PARENT_RELATION, "c_parent_float",
      "When you search for the description of [E], which sections do you need to check?",
-     _slots(_E("float_label"))),
+     (_E("float_label"),)),
     ("C11", QuestionType.PARENT_RELATION, "c_parent_cite",
-     "Which section does include the [E]?", _slots(_E("cite_key", quoted=True))),
+     "Which section does include the [E]?", (_E("cite_key", quoted=True),)),
     ("C12", QuestionType.PARENT_RELATION, "c_parent_cite",
-     "Which section does cite the [E]?", _slots(_E("cite_key", quoted=True))),
+     "Which section does cite the [E]?", (_E("cite_key", quoted=True),)),
     ("C13", QuestionType.PARENT_RELATION, "c_parent_cite",
-     "Where is the [E] cited in the document?", _slots(_E("cite_key", quoted=True))),
+     "Where is the [E] cited in the document?", (_E("cite_key", quoted=True),)),
     ("C14", QuestionType.PARENT_RELATION, "c_parent_cite",
-     "Where can [E] be found in the document?", _slots(_E("cite_key", quoted=True))),
+     "Where can [E] be found in the document?", (_E("cite_key", quoted=True),)),
     ("C15", QuestionType.PARENT_RELATION, "c_parent_cite",
      "When you search for the citation of [E], which sections can you find it?",
-     _slots(_E("cite_key", quoted=True))),
+     (_E("cite_key", quoted=True),)),
 )
 
 
@@ -321,37 +321,30 @@ def load_templates() -> TemplateRegistry:
 _VOWELS = "aeiouAEIOU"
 
 
+def _renderings(slot: SlotSpec, value) -> tuple[str, ...]:
+    """Surfaces a closed-vocabulary value may render as; only relations have synonyms."""
+    if slot.kind == "relation":
+        return RELATION_PHRASES[value]
+    return (f"{value}s" if slot.plural else str(value),)
+
+
 def _surface(slot: SlotSpec, value, tpl: QuestionTemplate, binding: dict, seed: int) -> str:
-    if slot.kind == "label":
-        text = f"{value}s" if slot.plural else str(value)
-    elif slot.kind in ("position", "relation_word", "turn"):
-        text = str(value)
-    elif slot.kind == "relation":
-        options = RELATION_PHRASES[value]
+    if slot.kind in SLOT_VALUES:
+        options = _renderings(slot, value)
+        if len(options) == 1:
+            return options[0]
         pick = stable_int(seed, tpl.template_id, canonical_binding(binding), slot.name)
-        text = options[pick % len(options)]
-    elif slot.kind == "num":
-        text = str(value)
-    else:  # text-valued slots
-        text = f"'{value}'" if slot.quoted else str(value)
-        if slot.article:
-            article = "an" if str(value)[:1] in _VOWELS else "a"
-            text = f"{article} {text}"
+        return options[pick % len(options)]
+    text = f"'{value}'" if slot.quoted else str(value)
+    if slot.article:
+        article = "an" if str(value)[:1] in _VOWELS else "a"
+        text = f"{article} {text}"
     return text
 
 
 def _check_value(slot: SlotSpec, value) -> None:
-    ok = True
-    if slot.kind == "label":
-        ok = value in QUESTION_LABELS
-    elif slot.kind in ("position",):
-        ok = value in REGION_NAMES
-    elif slot.kind in ("relation", "relation_word"):
-        ok = value in RELATION_PHRASES
-    elif slot.kind == "num":
-        ok = value in NUM_VALUES
-    elif slot.kind == "turn":
-        ok = value in TURN_VALUES
+    if slot.kind in SLOT_VALUES:
+        ok = value in SLOT_VALUES[slot.kind]
     else:
         ok = isinstance(value, str) and bool(value)
     if not ok:
@@ -380,6 +373,11 @@ def _alternation(options) -> str:
     return "|".join(re.escape(o) for o in sorted(options, key=len, reverse=True))
 
 
+def _closed_surfaces(slot: SlotSpec) -> dict[str, object]:
+    """Every surface a closed-vocabulary slot can render -> the value it renders."""
+    return {text: value for value in SLOT_VALUES[slot.kind] for text in _renderings(slot, value)}
+
+
 @lru_cache(maxsize=None)
 def _extraction_regex(template_id: str) -> re.Pattern:
     tpl = load_templates().by_id(template_id)
@@ -390,17 +388,8 @@ def _extraction_regex(template_id: str) -> re.Pattern:
     for pos, slot in token_at:
         pieces.append(re.escape(pattern[cursor:pos]))
         group = f"(?P<{slot.name}>%s)"
-        if slot.kind == "label":
-            alts = [f"{l}s" for l in QUESTION_LABELS] if slot.plural else QUESTION_LABELS
-            body = group % _alternation(alts)
-        elif slot.kind == "position" or slot.kind == "relation_word":
-            body = group % _alternation(REGION_NAMES)
-        elif slot.kind == "relation":
-            body = group % _alternation(_PHRASE_TO_RELATION)
-        elif slot.kind == "num":
-            body = group % "[1-5]"
-        elif slot.kind == "turn":
-            body = group % _alternation(TURN_VALUES)
+        if slot.kind in SLOT_VALUES:
+            body = group % _alternation(_closed_surfaces(slot))
         elif slot.quoted:
             body = group % "[^']+"
             body = f"'{body}'"
@@ -422,14 +411,7 @@ def extract_binding(tpl: QuestionTemplate, text: str) -> dict | None:
     binding = {}
     for slot in tpl.slots:
         raw = m.group(slot.name)
-        if slot.kind == "label" and slot.plural:
-            binding[slot.name] = raw[:-1]
-        elif slot.kind == "relation":
-            binding[slot.name] = _PHRASE_TO_RELATION[raw]
-        elif slot.kind == "num":
-            binding[slot.name] = int(raw)
-        else:
-            binding[slot.name] = raw
+        binding[slot.name] = _closed_surfaces(slot)[raw] if slot.kind in SLOT_VALUES else raw
     return binding
 
 
@@ -437,31 +419,13 @@ def extract_binding(tpl: QuestionTemplate, text: str) -> dict | None:
 # Binding enumeration
 # ---------------------------------------------------------------------------
 
-def _page_title_anchors(page: Page) -> list[str]:
-    """Title texts naming exactly one title element on the page."""
-    counts: dict[str, int] = {}
-    for el in page.elements:
+def _quotable_titles(elements) -> dict[str, list[str]]:
+    """Title text -> ids of the titles carrying it, for texts a question can quote."""
+    ids: dict[str, list[str]] = {}
+    for el in elements:
         if el.category == ElementCategory.TITLE and el.text and "'" not in el.text:
-            counts[el.text] = counts.get(el.text, 0) + 1
-    return sorted(t for t, n in counts.items() if n == 1)
-
-
-def _doc_title_texts(doc: Document) -> list[str]:
-    texts = {
-        el.text
-        for el in doc.elements()
-        if el.category == ElementCategory.TITLE and el.text and "'" not in el.text
-    }
-    return sorted(texts)
-
-
-def _doc_title_anchors(doc: Document) -> dict[str, str]:
-    """Unique title text -> element id over the whole document."""
-    counts: dict[str, list[str]] = {}
-    for el in doc.elements():
-        if el.category == ElementCategory.TITLE and el.text and "'" not in el.text:
-            counts.setdefault(el.text, []).append(el.id)
-    return {t: ids[0] for t, ids in counts.items() if len(ids) == 1}
+            ids.setdefault(el.text, []).append(el.id)
+    return ids
 
 
 _FLOAT_KEY = re.compile(r"^(Table|Figure) \d+$")
@@ -493,28 +457,18 @@ def enumerate_bindings(tpl: QuestionTemplate, doc: Document,
 
     pools: list[tuple[str, list]] = []
     for slot in tpl.slots:
-        if slot.kind == "label":
-            values: list = list(QUESTION_LABELS)
-        elif slot.kind == "position":
-            values = list(REGION_NAMES)
-        elif slot.kind in ("relation", "relation_word"):
-            values = list(REGION_NAMES)
-        elif slot.kind == "num":
-            values = list(NUM_VALUES)
-        elif slot.kind == "turn":
-            values = list(TURN_VALUES)
+        if slot.kind in SLOT_VALUES:
+            values: list = list(SLOT_VALUES[slot.kind])
         elif slot.kind == "page_title_anchor":
-            values = _page_title_anchors(page)
+            titles = _quotable_titles(page.elements)
+            values = sorted(t for t, ids in titles.items() if len(ids) == 1)
         elif slot.kind == "doc_title_text":
-            values = _doc_title_texts(doc)
+            values = sorted(_quotable_titles(doc.elements()))
         elif slot.kind == "doc_title_anchor":
-            anchors = _doc_title_anchors(doc)
-            values = sorted(anchors)
+            titles = _quotable_titles(doc.elements())
+            values = sorted(t for t, ids in titles.items() if len(ids) == 1)
             if graphs is not None:
-                values = [
-                    t for t in values
-                    if _has_child_title(doc, graphs, anchors[t])
-                ]
+                values = [t for t in values if _has_child_title(doc, graphs, titles[t][0])]
         elif slot.kind == "float_label":
             values = sorted(k for k in doc.mention_index if _FLOAT_KEY.match(k))
         elif slot.kind == "cite_key":

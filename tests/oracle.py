@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 import string
 
-from .errors import AnchorNotFound, OverflowAnswer
-from .model import Document, DocElement, ElementCategory, Page
-from .programs import AnswerValue
-from .templates import QuestionTemplate
+from docqa_forge.errors import AnchorNotFound, OverflowAnswer
+from docqa_forge.model import Document, DocElement, ElementCategory, Page
+from docqa_forge.programs import AnswerValue
+from docqa_forge.templates import QuestionTemplate
 
 _ALNUM = set(string.ascii_letters + string.digits)
 

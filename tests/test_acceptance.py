@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from synthcorpus import random_page_document, random_processed_document
+from oracle import _caption_of, _direction, oracle_execute
 from docqa_forge.balance import BalanceConfig, balance_answers, balance_parameters
 from docqa_forge.dataset import percentage, questions_per_image
 from docqa_forge.errors import AnchorNotFound, OverflowAnswer
@@ -23,7 +24,6 @@ from docqa_forge.generator import GenConfig, QARecord, generate_corpus
 from docqa_forge.geometry import BoundingBox, spatial_relation
 from docqa_forge.graphs import build_graphs, build_logical_graph
 from docqa_forge.model import TaskId
-from docqa_forge.oracle import _caption_of, _direction, oracle_execute
 from docqa_forge.programs import AnswerValue, compile_program, execute, scope_for
 from docqa_forge.templates import QuestionType, enumerate_bindings, load_templates
 

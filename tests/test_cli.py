@@ -146,3 +146,23 @@ def test_generate_requires_seed(tmp_path, corpus_dir):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--in", str(corpus_dir), "--out", str(tmp_path / "r.jsonl")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, threads", [
+    ("generate --in c --out r.jsonl --seed 1 --template-cap -1", None),
+    ("generate --in c --out r.jsonl --seed 1 --na-rate 2", None),
+    ("generate --in c --out r.jsonl --seed 1 --workers -3", None),
+    ("generate --in c --out r.jsonl --seed 1", "abc"),
+    ("balance --in r.jsonl --out b.jsonl --seed 1 --answer-ratio 0.5", None),
+    ("balance --in r.jsonl --out b.jsonl --seed 1 --param-ratio nan", None),
+    ("split --in b.jsonl --out-dir s --seed 1 --ratios 0.5,0.5,nan", None),
+])
+def test_bad_numeric_flag_is_usage_error(tmp_path, monkeypatch, argv, threads):
+    monkeypatch.chdir(tmp_path)
+    if threads is None:
+        monkeypatch.delenv("FORGE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("FORGE_THREADS", threads)
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2

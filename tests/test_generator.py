@@ -185,3 +185,5 @@ def test_bad_config_rejected():
         GenConfig(seed=1, na_retention=1.5)
     with pytest.raises(ValueError):
         GenConfig(seed=1, tasks=("A", "D"))
+    with pytest.raises(ValueError):
+        GenConfig(seed=1, per_template_cap=-1)

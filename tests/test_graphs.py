@@ -11,7 +11,6 @@ from docqa_forge.geometry import SpatialRelation, spatial_relation
 from docqa_forge.graphs import (
     build_logical_graph,
     build_spatial_graph,
-    query_related,
     title_level,
 )
 from docqa_forge.ingest import parse_document
@@ -64,19 +63,19 @@ def test_graph_determinism():
 
 def test_query_related_coarse_bottom(p1_page):
     graph = build_spatial_graph(p1_page)
-    assert query_related(graph, "e1", SpatialRelation.BOTTOM, coarse=True) == {
+    assert graph.related("e1", SpatialRelation.BOTTOM, coarse=True) == {
         "e2", "e3", "e4", "e5"}
 
 
 def test_query_related_no_horizontal_neighbors(p1_page):
     graph = build_spatial_graph(p1_page)
-    assert query_related(graph, "e1", SpatialRelation.LEFT) == set()
+    assert graph.related("e1", SpatialRelation.LEFT) == set()
 
 
 def test_query_related_unknown_anchor(p1_page):
     graph = build_spatial_graph(p1_page)
     with pytest.raises(UnknownElement):
-        query_related(graph, "nope", SpatialRelation.TOP)
+        graph.related("nope", SpatialRelation.TOP)
 
 
 def test_coarse_query_includes_diagonals():
@@ -91,8 +90,8 @@ def test_coarse_query_includes_diagonals():
              "text": "", "parent_id": None},
         ]}]})
     graph = build_spatial_graph(doc.pages[0])
-    assert query_related(graph, "a", SpatialRelation.BOTTOM) == {"below"}
-    assert query_related(graph, "a", SpatialRelation.BOTTOM, coarse=True) == {
+    assert graph.related("a", SpatialRelation.BOTTOM) == {"below"}
+    assert graph.related("a", SpatialRelation.BOTTOM, coarse=True) == {
         "below", "diag"}
 
 

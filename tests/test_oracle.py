@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from synthcorpus import random_page_document, random_processed_document
+from oracle import oracle_execute
 from docqa_forge.errors import AnchorNotFound, OverflowAnswer
 from docqa_forge.graphs import build_graphs
 from docqa_forge.model import TaskId
-from docqa_forge.oracle import oracle_execute
 from docqa_forge.programs import compile_program, execute, scope_for
 from docqa_forge.templates import enumerate_bindings, load_templates
 
