@@ -8,10 +8,12 @@ Diagnostics go to stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .balance import BalanceConfig, balance_answers, balance_parameters, balance_report
@@ -43,26 +45,43 @@ from .templates import load_templates
 
 def load_corpus(path) -> list[Document]:
     """Accept a directory of annotation files, one annotation file, or a
-    processed corpus file produced by `forge ingest`."""
+    processed corpus file produced by `forge ingest`. Every error names the
+    file it comes from."""
     path = Path(path)
     if path.is_dir():
         docs = []
         for child in sorted(path.glob("*.json")):
-            docs.append(preprocess_document(parse_document(child.read_bytes())))
+            raw = _read_bytes(child)
+            with _in_file(child):
+                docs.append(preprocess_document(parse_document(raw)))
         if not docs:
             raise IoFailure(f"no .json documents under {path}")
         return docs
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    raw = _read_bytes(path)
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path}: not valid JSON") from exc
-    if isinstance(data, dict) and "documents" in data:
-        return [document_from_processed(d) for d in data["documents"]]
-    return [preprocess_document(parse_document(data))]
+    with _in_file(path):
+        if isinstance(data, dict) and "documents" in data:
+            return [document_from_processed(d) for d in data["documents"]]
+        return [preprocess_document(parse_document(data))]
+
+
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+@contextmanager
+def _in_file(path: Path):
+    """Re-raise a ForgeError with the file name in front, keeping its class."""
+    try:
+        yield
+    except ForgeError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _number(convert, low, high=math.inf):
@@ -128,16 +147,22 @@ def _cmd_generate(args) -> int:
 def _write_traces(records, corpus, path) -> None:
     registry = load_templates()
     docs = {doc.doc_id: doc for doc in corpus}
-    graphs = {doc_id: build_graphs(doc) for doc_id, doc in docs.items()}
     lines = []
-    for record in records:
-        doc = docs[record.doc_id]
-        page = doc.pages[record.page_index] if record.page_index is not None else None
-        tpl = registry.by_id(record.template_id)
-        program = compile_program(tpl, record.binding)
-        _, trace = execute_with_trace(program, scope_for(record.task, doc, page),
-                                      graphs[record.doc_id])
-        lines.append(json.dumps({"qid": record.qid, "trace": trace}))
+    # Records come grouped by document; graphs and scopes (each carrying its
+    # index) are built once per document, and per page and task.
+    for doc_id, group in itertools.groupby(records, key=lambda r: r.doc_id):
+        group = list(group)
+        doc = docs[doc_id]
+        graphs = build_graphs(doc, sorted({r.page_index for r in group} - {None}))
+        scopes = {}
+        for record in group:
+            key = (record.task, record.page_index)
+            if key not in scopes:
+                page = doc.pages[record.page_index] if record.page_index is not None else None
+                scopes[key] = scope_for(record.task, doc, page)
+            program = compile_program(registry.by_id(record.template_id), record.binding)
+            _, trace = execute_with_trace(program, scopes[key], graphs)
+            lines.append(json.dumps({"qid": record.qid, "trace": trace}))
     atomic_write_text(Path(path), ("\n".join(lines) + "\n") if lines else "")
 
 

@@ -96,10 +96,10 @@ def _cap_bindings(bindings, cfg: GenConfig, doc_id: str, page_index, template_id
     return [b for b in bindings if canonical_binding(b) in keep]
 
 
-def _emit(tpl, binding, doc, page, graphs, cfg) -> QARecord | None:
-    page_index = page.index if page is not None else None
-    scope = scope_for(tpl.task, doc, page)
-    program = compile_program(tpl, binding)
+def _emit(tpl, binding, scope, graphs, cfg) -> QARecord | None:
+    doc = scope.doc
+    page_index = scope.page.index if tpl.task != TaskId.C else None
+    program = compile_program(tpl, binding)  # validates the binding, once
     try:
         answer = execute(program, scope, graphs)
     except OverflowAnswer:
@@ -113,7 +113,7 @@ def _emit(tpl, binding, doc, page, graphs, cfg) -> QARecord | None:
             return None
         if stable_unit(cfg.seed, "na", qid) >= cfg.na_retention:
             return None
-    question = instantiate(tpl, binding, cfg.seed)
+    question = instantiate(tpl, binding, cfg.seed, validated=True)
     return QARecord(qid=qid, task=tpl.task, qtype=tpl.qtype, doc_id=doc.doc_id,
                     page_index=page_index, question=question.text,
                     template_id=tpl.template_id, binding=dict(binding), answer=answer)
@@ -126,11 +126,12 @@ def generate_page(page: Page, doc: Document, graphs: GraphBundle,
     for task in (TaskId.A, TaskId.B):
         if task.value not in cfg.tasks:
             continue
+        scope = scope_for(task, doc, page)
         for tpl in registry.for_task(task):
             bindings = enumerate_bindings(tpl, doc, page, graphs)
             bindings = _cap_bindings(bindings, cfg, doc.doc_id, page.index, tpl.template_id)
             for binding in bindings:
-                record = _emit(tpl, binding, doc, page, graphs, cfg)
+                record = _emit(tpl, binding, scope, graphs, cfg)
                 if record is not None:
                     records.append(record)
     return records
@@ -142,11 +143,12 @@ def generate_document(doc: Document, graphs: GraphBundle,
     records = []
     if TaskId.C.value not in cfg.tasks:
         return records
+    scope = scope_for(TaskId.C, doc)
     for tpl in registry.for_task(TaskId.C):
         bindings = enumerate_bindings(tpl, doc, None, graphs)
         bindings = _cap_bindings(bindings, cfg, doc.doc_id, None, tpl.template_id)
         for binding in bindings:
-            record = _emit(tpl, binding, doc, None, graphs, cfg)
+            record = _emit(tpl, binding, scope, graphs, cfg)
             if record is not None:
                 records.append(record)
     return records
@@ -155,40 +157,43 @@ def generate_document(doc: Document, graphs: GraphBundle,
 def _document_job(args) -> tuple[str, list[QARecord], list[Exclusion]]:
     doc, cfg = args
     registry = load_templates()
-    records: list[QARecord] = []
     excluded: list[Exclusion] = []
-    graphs = build_graphs(doc)
-
-    page_by_index = {p.index: p for p in doc.pages}
-    ab_pages: list[int] | None = None
+    ab_pages: tuple[int, ...] = ()
     for task_value in ("A", "B"):
         if task_value not in cfg.tasks:
             continue
         report = validate_for_generation(doc, TaskId(task_value))
         excluded.extend(report.excluded)
-        if ab_pages is None and report.document_eligible:
-            ab_pages = list(report.eligible_pages)
-    if ab_pages:
-        for index in ab_pages:
-            records.extend(generate_page(page_by_index[index], doc, graphs,
-                                         registry, cfg))
-
+        if report.document_eligible:
+            ab_pages = report.eligible_pages  # the same pages for A and B
+    c_eligible = False
     if TaskId.C.value in cfg.tasks:
         report = validate_for_generation(doc, TaskId.C)
         excluded.extend(report.excluded)
-        if report.document_eligible:
-            records.extend(generate_document(doc, graphs, registry, cfg))
+        c_eligible = report.document_eligible
+
+    # Only A/B read spatial graphs, so only their pages get one.
+    graphs = build_graphs(doc, ab_pages)
+    records: list[QARecord] = []
+    for index in ab_pages:
+        records.extend(generate_page(doc.pages[index], doc, graphs, registry, cfg))
+    if c_eligible:
+        records.extend(generate_document(doc, graphs, registry, cfg))
     return doc.doc_id, records, excluded
 
 
 def resolve_workers(explicit: int | None = None) -> int:
     """Worker count: explicit argument, else FORGE_THREADS (0 = auto), else 1."""
+    source, value = "max_workers", explicit
     if explicit is None:
-        env = os.environ.get("FORGE_THREADS", "")
-        explicit = int(env) if env else 1
-    if explicit == 0:
-        explicit = os.cpu_count() or 1
-    return max(1, explicit)
+        source, value = "FORGE_THREADS", os.environ.get("FORGE_THREADS") or "1"
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{source} must be an integer >= 0, got {value!r}")
+    return value or os.cpu_count() or 1
 
 
 def generate_corpus(corpus, cfg: GenConfig, max_workers: int | None = None) -> GenerationResult:

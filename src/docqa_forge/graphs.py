@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import CyclicParentInput, DanglingParent, UnknownElement
 from .geometry import COARSE_ADMITS, SpatialRelation, spatial_relation
@@ -91,10 +93,17 @@ class LogicalGraph:
         self._check(element_id)
         return self.parent_of[element_id]
 
+    @cached_property
+    def _children_of(self) -> dict[str | None, tuple[str, ...]]:
+        kids: dict[str | None, list[str]] = {}
+        for child in sorted(self.parent_of, key=self.doc_order.__getitem__):
+            kids.setdefault(self.parent_of[child], []).append(child)
+        return {parent: tuple(ids) for parent, ids in kids.items()}
+
     def children(self, element_id: str) -> tuple[str, ...]:
+        """Direct children in document reading order."""
         self._check(element_id)
-        kids = [c for c, p in self.parent_of.items() if p == element_id]
-        return tuple(sorted(kids, key=lambda c: self.doc_order[c]))
+        return self._children_of.get(element_id, ())
 
     def ancestors(self, element_id: str) -> tuple[str, ...]:
         self._check(element_id)
@@ -191,8 +200,14 @@ class GraphBundle:
     logical: LogicalGraph
 
 
-def build_graphs(doc: Document) -> GraphBundle:
+def build_graphs(doc: Document, pages: Iterable[int] | None = None) -> GraphBundle:
+    """The logical graph, and spatial graphs for the given page indices (all by default).
+
+    Spatial graphs cost O(n^2) per page and only Tasks A/B read them, so the
+    generator asks for the pages it will generate on.
+    """
+    chosen = doc.pages if pages is None else [doc.pages[i] for i in pages]
     return GraphBundle(
-        spatial={page.index: build_spatial_graph(page) for page in doc.pages},
+        spatial={page.index: build_spatial_graph(page) for page in chosen},
         logical=build_logical_graph(doc),
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 from .geometry import BoundingBox
 
@@ -99,5 +100,14 @@ class Document:
     def element_count(self) -> int:
         return sum(len(p.elements) for p in self.pages)
 
-    def elements_in_doc_order(self) -> list[DocElement]:
-        return sorted(self.elements(), key=lambda e: e.doc_reading_index)
+    # Built on first use and kept on the instance; documents are immutable.
+    @cached_property
+    def by_id(self) -> dict[str, DocElement]:
+        return {el.id: el for el in self.elements()}
+
+    @cached_property
+    def _doc_order(self) -> tuple[DocElement, ...]:
+        return tuple(sorted(self.elements(), key=lambda e: e.doc_reading_index))
+
+    def elements_in_doc_order(self) -> tuple[DocElement, ...]:
+        return self._doc_order

@@ -1,18 +1,20 @@
 """Compile (template, binding) pairs into typed function chains and run them.
 
 A program is a straight-line chain; every step has exactly one input and one
-output kind, so a chain type-checks by adjacency. Execution threads a tagged
-value through the steps; an unresolvable referent collapses the value to NA,
-which propagates to the final answer.
+output kind, so a chain type-checks by adjacency. Execution threads a value
+through the steps against a scope's index: element sets are int bitmasks, so
+filters are `&` and counts are popcounts. An unresolvable referent collapses
+the value to NA, which propagates to the final answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import AnchorNotFound, OverflowAnswer, TypeMismatch
 from .geometry import SpatialRelation, in_region
-from .graphs import GraphBundle
+from .graphs import GraphBundle, SpatialGraph
 from .model import Document, DocElement, ElementCategory, Page, TaskId, category_for_label
 from .templates import QuestionTemplate, validate_binding
 
@@ -121,17 +123,25 @@ GROUP_PROGRAMS: dict[str, tuple[tuple[str, tuple | None], ...]] = {
 
 def check_chain(steps: tuple[Step, ...], task: TaskId) -> None:
     """Raise TypeMismatch unless adjacent signatures compose into a legal answer."""
-    if not steps:
+    _check_ops(tuple(step.op for step in steps), task)
+
+
+@lru_cache(maxsize=None)
+def _check_ops(ops: tuple[str, ...], task: TaskId) -> None:
+    # Legality depends only on the op sequence, so each template group's
+    # chain is checked once; a failure raises and is never cached.
+    if not ops:
         raise TypeMismatch("empty program")
-    cursor = SCOPE if SIGNATURES[steps[0].op][0] == SCOPE else ELEMS
-    for i, step in enumerate(steps):
-        if step.op not in SIGNATURES:
-            raise TypeMismatch(f"unknown operation {step.op!r}")
-        want, out = SIGNATURES[step.op]
+    for op in ops:
+        if op not in SIGNATURES:
+            raise TypeMismatch(f"unknown operation {op!r}")
+    cursor = SCOPE if SIGNATURES[ops[0]][0] == SCOPE else ELEMS
+    for i, op in enumerate(ops):
+        want, out = SIGNATURES[op]
         if want == SCOPE and i > 0:
-            raise TypeMismatch(f"{step.op} must open the chain")
+            raise TypeMismatch(f"{op} must open the chain")
         if want != cursor and not (i == 0 and want == ELEMS):
-            raise TypeMismatch(f"step {step.op} wants {want}, chain carries {cursor}")
+            raise TypeMismatch(f"step {op} wants {want}, chain carries {cursor}")
         cursor = out
     if cursor not in _FINAL_KINDS[task]:
         raise TypeMismatch(f"chain ends in {cursor}, illegal for Task {task.value}")
@@ -157,32 +167,82 @@ def compile_program(tpl: QuestionTemplate, binding: dict) -> FunctionalProgram:
 # Scopes
 # ---------------------------------------------------------------------------
 
+class ScopeIndex:
+    """Lookup tables over one scope's elements, built once per scope.
+
+    An element set is an int bitmask: bit i stands for elements[i], so set
+    order is reading order and the set operations are integer operations.
+    """
+
+    def __init__(self, elements: tuple[DocElement, ...]):
+        self.elements = elements
+        self.position = {el.id: i for i, el in enumerate(elements)}
+        self.everything = (1 << len(elements)) - 1
+        self.category: dict[ElementCategory, int] = {}
+        self.titles: dict[str, list[DocElement]] = {}
+        for i, el in enumerate(elements):
+            self.category[el.category] = self.category.get(el.category, 0) | 1 << i
+            if el.category == ElementCategory.TITLE:
+                self.titles.setdefault(el.text, []).append(el)
+        self._regions: dict[str, int] = {}
+        self._graph: SpatialGraph | None = None
+        self._related: dict[tuple[str, str, bool], int] = {}
+
+    def mask(self, element_ids) -> int:
+        mask = 0
+        for element_id in element_ids:
+            mask |= 1 << self.position[element_id]
+        return mask
+
+    def members(self, mask: int):
+        """Elements of a mask, in reading order."""
+        while mask:
+            low = mask & -mask
+            yield self.elements[low.bit_length() - 1]
+            mask ^= low
+
+    def region(self, name: str) -> int:
+        mask = self._regions.get(name)
+        if mask is None:
+            mask = self.mask(el.id for el in self.elements if in_region(el.bbox, name))
+            self._regions[name] = mask
+        return mask
+
+    def related(self, graph: SpatialGraph, anchor_id: str, relation: str,
+                coarse: bool) -> int:
+        """Mask of graph.related(...), shared by every binding with this anchor and relation."""
+        if graph is not self._graph:
+            self._graph, self._related = graph, {}
+        key = (anchor_id, relation, coarse)
+        mask = self._related.get(key)
+        if mask is None:
+            ids = graph.related(anchor_id, SpatialRelation(relation), coarse=coarse)
+            mask = self._related[key] = self.mask(ids)
+        return mask
+
+
 @dataclass(frozen=True)
 class PageScope:
     doc: Document
     page: Page
+    index: ScopeIndex = field(init=False, repr=False, compare=False)
 
-    @property
-    def elements(self) -> list[DocElement]:
-        return sorted(self.page.elements, key=lambda e: e.page_reading_index)
-
-    def reading_index(self, el: DocElement) -> int:
-        return el.page_reading_index
+    def __post_init__(self):
+        ordered = sorted(self.page.elements, key=lambda e: e.page_reading_index)
+        object.__setattr__(self, "index", ScopeIndex(tuple(ordered)))
 
 
 @dataclass(frozen=True)
 class DocumentScope:
     doc: Document
+    index: ScopeIndex = field(init=False, repr=False, compare=False)
 
-    @property
-    def elements(self) -> list[DocElement]:
-        return self.doc.elements_in_doc_order()
-
-    def reading_index(self, el: DocElement) -> int:
-        return el.doc_reading_index
+    def __post_init__(self):
+        object.__setattr__(self, "index", ScopeIndex(self.doc.elements_in_doc_order()))
 
 
 def scope_for(task: TaskId, doc: Document, page: Page | None = None):
+    """The scope a task's programs run in; build it once and reuse it."""
     if task in (TaskId.A, TaskId.B):
         if page is None:
             raise TypeMismatch("page scope required for Tasks A/B")
@@ -222,23 +282,20 @@ def execute(prog: FunctionalProgram, scope, graphs: GraphBundle,
             trace: list | None = None) -> AnswerValue:
     """Evaluate the chain left to right and render the task's answer kind."""
     check_chain(prog.steps, prog.task)
-    doc: Document = scope.doc
-    by_id = {el.id: el for el in doc.elements()}
-    kind = SCOPE if SIGNATURES[prog.steps[0].op][0] == SCOPE else ELEMS
-    value = scope if kind == SCOPE else list(scope.elements)
+    value = scope if SIGNATURES[prog.steps[0].op][0] == SCOPE else scope.index.everything
 
     for i, step in enumerate(prog.steps):
         if value is _NA:
             break
-        value = _apply(step, value, scope, graphs, by_id)
+        value = _apply(step, value, scope, graphs)
         if trace is not None:
             out_kind = SIGNATURES[step.op][1]
-            trace.append({
-                "step": i,
-                "function": step.op,
-                "output_kind": "na" if value is _NA else out_kind,
-                "output_size": len(value) if isinstance(value, list) else (0 if value is _NA else 1),
-            })
+            if value is _NA:
+                out_kind, size = "na", 0
+            else:
+                size = value.bit_count() if out_kind == ELEMS else 1
+            trace.append({"step": i, "function": step.op,
+                          "output_kind": out_kind, "output_size": size})
     return _render(prog, value, scope)
 
 
@@ -248,16 +305,16 @@ def execute_with_trace(prog: FunctionalProgram, scope, graphs: GraphBundle):
     return answer, trace
 
 
-def _apply(step: Step, value, scope, graphs: GraphBundle, by_id):
+def _apply(step: Step, value, scope, graphs: GraphBundle):
+    """One step; element sets are masks over scope.index (see ScopeIndex)."""
     op = step.op
+    index: ScopeIndex = scope.index
     if op == "filter_category":
-        wanted = category_for_label(step.arg)
-        return [el for el in value if el.category == wanted]
+        return value & index.category.get(category_for_label(step.arg), 0)
     if op == "filter_region":
-        return [el for el in value if in_region(el.bbox, step.arg)]
+        return value & index.region(step.arg)
     if op == "locate_text":
-        matches = [el for el in scope.elements
-                   if el.category == ElementCategory.TITLE and el.text == step.arg]
+        matches = index.titles.get(step.arg, ())
         if len(matches) != 1:
             raise AnchorNotFound(
                 f"text anchor {step.arg!r} matched {len(matches)} title elements")
@@ -266,65 +323,57 @@ def _apply(step: Step, value, scope, graphs: GraphBundle, by_id):
         if not isinstance(scope, PageScope):
             raise TypeMismatch("spatial queries need a page scope")
         graph = graphs.spatial[scope.page.index]
-        ids = graph.related(value.id, SpatialRelation(step.arg), coarse=step.coarse)
-        return sorted((by_id[i] for i in ids), key=scope.reading_index)
+        return index.related(graph, value.id, step.arg, step.coarse)
     if op == "count":
-        return len(value)
+        return value.bit_count()
     if op == "exists":
-        return bool(value)
+        return value != 0
     if op == "compare_count":
         return value == step.arg
     if op == "nth_reading":
         if not value:
             return _NA
         if step.arg == "first":
-            return value[0]
+            return index.elements[(value & -value).bit_length() - 1]
         if step.arg == "last":
-            return value[-1]
+            return index.elements[value.bit_length() - 1]
         # "unique": the referent must be unambiguous
-        return value[0] if len(value) == 1 else _NA
+        return index.elements[value.bit_length() - 1] if value.bit_count() == 1 else _NA
     if op == "described_by":
-        described = _described_by(value, graphs, by_id)
+        described = _described_by(value, graphs, scope.doc.by_id)
         return _NA if described is None else described
+    if op in ("child_sections", "parent_sections") and not isinstance(scope, DocumentScope):
+        raise TypeMismatch("section queries need a document scope")
     if op == "child_sections":
+        by_id = scope.doc.by_id
         kids = graphs.logical.children(value.id)
-        return [by_id[k] for k in kids if by_id[k].category == ElementCategory.TITLE]
+        return index.mask(k for k in kids if by_id[k].category == ElementCategory.TITLE)
     if op == "parent_sections":
-        titles = {}
-        for el_id in scope.doc.mention_index.get(step.arg, ()):
-            owner = _owning_title(by_id[el_id], graphs, by_id)
-            if owner is not None:
-                titles[owner.id] = owner
-        return sorted(titles.values(), key=lambda e: e.doc_reading_index)
+        by_id = scope.doc.by_id
+        owners = (_owning_title(by_id[el_id], graphs, by_id)
+                  for el_id in scope.doc.mention_index.get(step.arg, ()))
+        return index.mask(owner.id for owner in owners if owner is not None)
     if op == "text_anchor_exists":
-        return any(
-            el.category == ElementCategory.TITLE and el.text == step.arg
-            for el in scope.elements
-        )
+        return step.arg in index.titles
     raise TypeMismatch(f"unknown operation {op!r}")
 
 
 def _render(prog: FunctionalProgram, value, scope) -> AnswerValue:
+    """The answer for the chain's final value, whose kind check_chain has fixed."""
     if value is _NA:
         return AnswerValue.na()
     task = prog.task
     if task == TaskId.A:
         if isinstance(value, bool):
             return AnswerValue.token("yes" if value else "no")
-        if isinstance(value, int):
-            if value > 5:
-                raise OverflowAnswer(f"count {value} exceeds the fixed answer space")
-            return AnswerValue.token(str(value))
-        raise TypeMismatch(f"Task A cannot answer with {type(value).__name__}")
+        if value > 5:
+            raise OverflowAnswer(f"count {value} exceeds the fixed answer space")
+        return AnswerValue.token(str(value))
     if task == TaskId.B:
-        if not isinstance(value, DocElement):
-            raise TypeMismatch("Task B answers must be single elements")
         # answers are page-local reading indices; off-page referents are N/A
         if value.page_index != scope.page.index:
             return AnswerValue.na()
         return AnswerValue.index(value.page_reading_index)
-    if not isinstance(value, list):
-        raise TypeMismatch("Task C answers must be element sets")
     if not value:
         return AnswerValue.na()
-    return AnswerValue.index_set(el.doc_reading_index for el in value)
+    return AnswerValue.index_set(el.doc_reading_index for el in scope.index.members(value))

@@ -359,9 +359,15 @@ def validate_binding(tpl: QuestionTemplate, binding: dict) -> None:
         _check_value(slot, binding[slot.name])
 
 
-def instantiate(tpl: QuestionTemplate, binding: dict, seed: int) -> QuestionString:
-    """Render the pattern with the binding; deterministic in (tpl, binding, seed)."""
-    validate_binding(tpl, binding)
+def instantiate(tpl: QuestionTemplate, binding: dict, seed: int, *,
+                validated: bool = False) -> QuestionString:
+    """Render the pattern with the binding; deterministic in (tpl, binding, seed).
+
+    validated=True skips validate_binding for a binding the caller has
+    already checked (the generator's compile_program does).
+    """
+    if not validated:
+        validate_binding(tpl, binding)
     text = tpl.pattern
     for slot in tpl.slots:
         text = text.replace(f"[{slot.name}]", _surface(slot, binding[slot.name],
@@ -494,8 +500,7 @@ def enumerate_bindings(tpl: QuestionTemplate, doc: Document,
 
 
 def _has_child_title(doc: Document, graphs: GraphBundle, element_id: str) -> bool:
-    categories = {el.id: el.category for el in doc.elements()}
     return any(
-        categories.get(child) == ElementCategory.TITLE
+        doc.by_id[child].category == ElementCategory.TITLE
         for child in graphs.logical.children(element_id)
     )

@@ -166,3 +166,22 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, monkeypatch, argv, threads):
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
     assert exc.value.code == 2
+
+
+def test_unreadable_corpus_entry_is_io_failure(tmp_path, corpus_dir, capsys):
+    (corpus_dir / "bad.json").mkdir()
+    code = main(["generate", "--in", str(corpus_dir), "--out", str(tmp_path / "r.jsonl"),
+                 "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "IoFailure" in err and "bad.json" in err
+
+
+def test_invalid_corpus_file_is_named_in_the_error(tmp_path, corpus_dir, capsys):
+    flat = stack_annotation("flat", [[("text", "x", [10.0, 10.0, 10.0, 20.0])]])
+    (corpus_dir / "flat.json").write_text(json.dumps(flat))
+    code = main(["generate", "--in", str(corpus_dir), "--out", str(tmp_path / "r.jsonl"),
+                 "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "InvalidBBox" in err and "flat.json" in err

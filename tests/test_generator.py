@@ -4,6 +4,8 @@ import pytest
 
 from conftest import build_document, stack_annotation
 from synthcorpus import random_processed_document
+from docqa_forge import generator as generator_module
+from docqa_forge import graphs as graphs_module
 from docqa_forge.generator import (
     GenConfig,
     count_by_type,
@@ -11,6 +13,7 @@ from docqa_forge.generator import (
     generate_document,
     generate_page,
     make_qid,
+    resolve_workers,
 )
 from docqa_forge.graphs import build_graphs
 from docqa_forge.model import TaskId
@@ -187,3 +190,50 @@ def test_bad_config_rejected():
         GenConfig(seed=1, tasks=("A", "D"))
     with pytest.raises(ValueError):
         GenConfig(seed=1, per_template_cap=-1)
+
+
+@pytest.mark.parametrize("explicit, threads, named", [
+    (-3, None, "max_workers"),
+    (1.5, None, "max_workers"),
+    (None, "abc", "FORGE_THREADS"),
+    (None, "-2", "FORGE_THREADS"),
+])
+def test_resolve_workers_rejects_bad_values(monkeypatch, explicit, threads, named):
+    if threads is None:
+        monkeypatch.delenv("FORGE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("FORGE_THREADS", threads)
+    with pytest.raises(ValueError, match=named):
+        resolve_workers(explicit)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_generation_builds_each_graph_and_scope_once(monkeypatch):
+    small = [[("title", "Results"), ("table", ""), ("text", "Table 1 shows it.")]]
+    crowded = [[("text", f"block {i}") for i in range(27)]]
+    doc = build_document(stack_annotation("d", small + small + crowded))
+    spatial = _count_calls(monkeypatch, graphs_module, "build_spatial_graph")
+    # scope_for as the generator looks it up
+    scopes = _count_calls(monkeypatch, generator_module, "scope_for")
+
+    generate_corpus([doc], GenConfig(seed=1, tasks=("C",)))
+    assert spatial == []
+    assert [args[0] for args in scopes] == [TaskId.C]
+
+    scopes.clear()
+    result = generate_corpus([doc], GenConfig(seed=1, tasks=("A", "B")))
+    assert len(result.records) > 2 * len(scopes)
+    assert sorted(args[0].index for args in spatial) == [0, 1]  # not the 27-element page
+    assert [(args[0], args[2].index) for args in scopes] == [
+        (TaskId.A, 0), (TaskId.B, 0), (TaskId.A, 1), (TaskId.B, 1)]

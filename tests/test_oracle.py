@@ -83,3 +83,19 @@ def test_oracle_matches_on_explicit_parent_documents():
     doc = build_document(annotation)
     _, failures = sweep(doc)
     assert failures == []
+
+
+def test_oracle_matches_task_c_on_scopes_wider_than_64_elements():
+    # Document-scope element sets are int masks; these span several machine words.
+    widest = 0
+    for seed in range(600, 640):
+        doc = random_processed_document(seed, n_pages=14, chaotic_share=0.15)
+        assert doc.element_count > 64
+        graphs = build_graphs(doc)
+        for tpl in REG.for_task(TaskId.C):
+            for binding in enumerate_bindings(tpl, doc, None, graphs):
+                ok, got, want = outcomes_match(tpl, binding, doc, None, graphs)
+                assert ok, (doc.doc_id, tpl.template_id, binding, got, want)
+                if got[0] == "value" and got[1].startswith("set:"):
+                    widest = max(widest, *map(int, got[1][len("set:"):].split(",")))
+    assert widest >= 128
