@@ -78,45 +78,74 @@ class GenerationResult:
     config_hash: str = ""
 
 
-def make_qid(doc_id: str, page_index: int | None, template_id: str, binding: dict) -> str:
+def make_qid(doc_id: str, page_index: int | None, template_id: str, binding: dict, *,
+             key: str | None = None) -> str:
+    """The record id; key is the binding's canonical_binding, if the caller has it."""
     page_part = "" if page_index is None else page_index
-    return stable_hex("qid", doc_id, page_part, template_id, canonical_binding(binding))
+    if key is None:
+        key = canonical_binding(binding)
+    return stable_hex("qid", doc_id, page_part, template_id, key)
 
 
-def _cap_bindings(bindings, cfg: GenConfig, doc_id: str, page_index, template_id: str):
+def _evaluate_group(tpl, scope, page: Page | None, graphs) -> list[tuple]:
+    """(binding, canonical key, answer) for every binding of tpl's group in
+    one scope; answer is None where every template of the group drops it.
+
+    The templates of a group share their slots and their program (see
+    GROUP_PROGRAMS), so any of them gives the same bindings and answers.
+    """
+    rows = []
+    for binding in enumerate_bindings(tpl, scope.doc, page, graphs):
+        program = compile_program(tpl, binding)  # validates the binding, once
+        try:
+            answer = execute(program, scope, graphs)
+        except OverflowAnswer:
+            answer = None
+        except AnchorNotFound as exc:
+            logger.debug("skipping group %s on %s: %s", tpl.group, scope.doc.doc_id, exc)
+            answer = None
+        if answer is not None and answer.kind == "na" and tpl.task != TaskId.B:
+            answer = None  # only Task B keeps unanswerable questions
+        rows.append((binding, canonical_binding(binding), answer))
+    return rows
+
+
+def _cap_rows(rows, cfg: GenConfig, doc_id: str, page_index, template_id: str):
+    """At most per_template_cap rows, ranked by a hash that includes the
+    template, so each template of a group keeps its own sample."""
     cap = cfg.per_template_cap
-    if cap is None or len(bindings) <= cap:
-        return bindings
-    ranked = sorted(
-        bindings,
-        key=lambda b: stable_unit(cfg.seed, "cap", doc_id, page_index,
-                                  template_id, canonical_binding(b)),
-    )
-    keep = {canonical_binding(b) for b in ranked[:cap]}
-    return [b for b in bindings if canonical_binding(b) in keep]
+    if cap is None or len(rows) <= cap:
+        return rows
+    ranked = sorted(rows, key=lambda row: stable_unit(cfg.seed, "cap", doc_id, page_index,
+                                                      template_id, row[1]))
+    keep = {row[1] for row in ranked[:cap]}
+    return [row for row in rows if row[1] in keep]
 
 
-def _emit(tpl, binding, scope, graphs, cfg) -> QARecord | None:
-    doc = scope.doc
-    page_index = scope.page.index if tpl.task != TaskId.C else None
-    program = compile_program(tpl, binding)  # validates the binding, once
-    try:
-        answer = execute(program, scope, graphs)
-    except OverflowAnswer:
-        return None
-    except AnchorNotFound as exc:
-        logger.debug("skipping %s on %s: %s", tpl.template_id, doc.doc_id, exc)
-        return None
-    qid = make_qid(doc.doc_id, page_index, tpl.template_id, binding)
-    if answer.kind == "na":
-        if tpl.task != TaskId.B:
-            return None
-        if stable_unit(cfg.seed, "na", qid) >= cfg.na_retention:
-            return None
-    question = instantiate(tpl, binding, cfg.seed, validated=True)
-    return QARecord(qid=qid, task=tpl.task, qtype=tpl.qtype, doc_id=doc.doc_id,
-                    page_index=page_index, question=question.text,
-                    template_id=tpl.template_id, binding=dict(binding), answer=answer)
+def _generate_scope(templates, scope, page: Page | None, graphs,
+                    cfg: GenConfig) -> list[QARecord]:
+    """Records of templates in one scope, in registry order; each template
+    group's bindings and answers are computed once, by its first template."""
+    doc_id = scope.doc.doc_id
+    page_index = None if page is None else page.index
+    evaluated: dict[str, list[tuple]] = {}
+    records = []
+    for tpl in templates:
+        rows = evaluated.get(tpl.group)
+        if rows is None:
+            rows = evaluated[tpl.group] = _evaluate_group(tpl, scope, page, graphs)
+        for binding, key, answer in _cap_rows(rows, cfg, doc_id, page_index, tpl.template_id):
+            if answer is None:
+                continue
+            qid = make_qid(doc_id, page_index, tpl.template_id, binding, key=key)
+            if answer.kind == "na" and stable_unit(cfg.seed, "na", qid) >= cfg.na_retention:
+                continue
+            question = instantiate(tpl, binding, cfg.seed, validated=True, key=key)
+            records.append(QARecord(qid=qid, task=tpl.task, qtype=tpl.qtype, doc_id=doc_id,
+                                    page_index=page_index, question=question.text,
+                                    template_id=tpl.template_id, binding=dict(binding),
+                                    answer=answer))
+    return records
 
 
 def generate_page(page: Page, doc: Document, graphs: GraphBundle,
@@ -124,34 +153,19 @@ def generate_page(page: Page, doc: Document, graphs: GraphBundle,
     """All Task A/B records for one validated page, in canonical order."""
     records = []
     for task in (TaskId.A, TaskId.B):
-        if task.value not in cfg.tasks:
-            continue
-        scope = scope_for(task, doc, page)
-        for tpl in registry.for_task(task):
-            bindings = enumerate_bindings(tpl, doc, page, graphs)
-            bindings = _cap_bindings(bindings, cfg, doc.doc_id, page.index, tpl.template_id)
-            for binding in bindings:
-                record = _emit(tpl, binding, scope, graphs, cfg)
-                if record is not None:
-                    records.append(record)
+        if task.value in cfg.tasks:
+            scope = scope_for(task, doc, page)
+            records.extend(_generate_scope(registry.for_task(task), scope, page, graphs, cfg))
     return records
 
 
 def generate_document(doc: Document, graphs: GraphBundle,
                       registry: TemplateRegistry, cfg: GenConfig) -> list[QARecord]:
     """All Task C records for one validated document."""
-    records = []
     if TaskId.C.value not in cfg.tasks:
-        return records
+        return []
     scope = scope_for(TaskId.C, doc)
-    for tpl in registry.for_task(TaskId.C):
-        bindings = enumerate_bindings(tpl, doc, None, graphs)
-        bindings = _cap_bindings(bindings, cfg, doc.doc_id, None, tpl.template_id)
-        for binding in bindings:
-            record = _emit(tpl, binding, scope, graphs, cfg)
-            if record is not None:
-                records.append(record)
-    return records
+    return _generate_scope(registry.for_task(TaskId.C), scope, None, graphs, cfg)
 
 
 def _document_job(args) -> tuple[str, list[QARecord], list[Exclusion]]:

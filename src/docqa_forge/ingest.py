@@ -60,6 +60,9 @@ def parse_document(raw: bytes | str | dict) -> Document:
     references = data.get("references", [])
     if not isinstance(references, list) or any(not isinstance(r, str) for r in references):
         raise MalformedInput("references must be a list of strings")
+    for position, reference in enumerate(references):
+        if not reference.strip():
+            raise MalformedInput(f"document {doc_id!r}: reference {position} is empty")
 
     pages_raw = data.get("pages")
     if not isinstance(pages_raw, list):

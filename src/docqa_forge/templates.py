@@ -46,7 +46,6 @@ SLOT_VALUES: dict[str, tuple] = {
     "label": QUESTION_LABELS,
     "position": REGION_NAMES,
     "relation": REGION_NAMES,
-    "relation_word": REGION_NAMES,
     "num": (1, 2, 3, 4, 5),
     "turn": ("first", "last"),
 }
@@ -79,7 +78,8 @@ _QTYPE_TASK = {
 class SlotSpec:
     """How one slot enumerates and renders.
 
-    kind decides the value pool; plural/quoted/article decide the surface.
+    kind decides the value pool; plural/quoted/article/bare decide the
+    surface. A bare relation renders as its region name, not as a phrase.
     """
 
     name: str
@@ -87,6 +87,7 @@ class SlotSpec:
     plural: bool = False
     quoted: bool = False
     article: bool = False
+    bare: bool = False
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ _E = lambda kind, **kw: SlotSpec("E", kind, **kw)  # noqa: E731
 _E1 = lambda **kw: SlotSpec("E1", "label", **kw)  # noqa: E731
 _E2 = SlotSpec("E2", "page_title_anchor", quoted=True)
 _R = SlotSpec("R", "relation")
-_RW = SlotSpec("R", "relation_word")
+_RW = SlotSpec("R", "relation", bare=True)
 _POS = SlotSpec("pos", "position")
 _NUM = SlotSpec("num", "num")
 _TURN = SlotSpec("turn", "turn")
@@ -323,17 +324,17 @@ _VOWELS = "aeiouAEIOU"
 
 def _renderings(slot: SlotSpec, value) -> tuple[str, ...]:
     """Surfaces a closed-vocabulary value may render as; only relations have synonyms."""
-    if slot.kind == "relation":
+    if slot.kind == "relation" and not slot.bare:
         return RELATION_PHRASES[value]
     return (f"{value}s" if slot.plural else str(value),)
 
 
-def _surface(slot: SlotSpec, value, tpl: QuestionTemplate, binding: dict, seed: int) -> str:
+def _surface(slot: SlotSpec, value, template_id: str, key: str, seed: int) -> str:
     if slot.kind in SLOT_VALUES:
         options = _renderings(slot, value)
         if len(options) == 1:
             return options[0]
-        pick = stable_int(seed, tpl.template_id, canonical_binding(binding), slot.name)
+        pick = stable_int(seed, template_id, key, slot.name)
         return options[pick % len(options)]
     text = f"'{value}'" if slot.quoted else str(value)
     if slot.article:
@@ -359,20 +360,42 @@ def validate_binding(tpl: QuestionTemplate, binding: dict) -> None:
         _check_value(slot, binding[slot.name])
 
 
+@lru_cache(maxsize=None)
+def _pattern_pieces(template_id: str) -> tuple[tuple[str, ...], tuple[SlotSpec, ...]]:
+    """The pattern split at its slot tokens: n + 1 literals around n slots,
+    the slots in the order their tokens appear."""
+    tpl = load_templates().by_id(template_id)
+    pattern = tpl.pattern
+    literals = []
+    cursor = 0
+    token_at = sorted((pattern.index(f"[{s.name}]"), s) for s in tpl.slots)
+    for pos, slot in token_at:
+        literals.append(pattern[cursor:pos])
+        cursor = pos + len(f"[{slot.name}]")
+    literals.append(pattern[cursor:])
+    return tuple(literals), tuple(slot for _, slot in token_at)
+
+
 def instantiate(tpl: QuestionTemplate, binding: dict, seed: int, *,
-                validated: bool = False) -> QuestionString:
+                validated: bool = False, key: str | None = None) -> QuestionString:
     """Render the pattern with the binding; deterministic in (tpl, binding, seed).
 
     validated=True skips validate_binding for a binding the caller has
-    already checked (the generator's compile_program does).
+    already checked (the generator's compile_program does); key is the
+    binding's canonical_binding, if the caller already has it. The pattern
+    is split once per template_id, so tpl must come from load_templates().
     """
     if not validated:
         validate_binding(tpl, binding)
-    text = tpl.pattern
-    for slot in tpl.slots:
-        text = text.replace(f"[{slot.name}]", _surface(slot, binding[slot.name],
-                                                       tpl, binding, seed), 1)
-    return QuestionString(text=text, template_id=tpl.template_id, binding=dict(binding))
+    if key is None:
+        key = canonical_binding(binding)
+    literals, slots = _pattern_pieces(tpl.template_id)
+    parts = [literals[0]]
+    for slot, literal in zip(slots, literals[1:]):
+        parts.append(_surface(slot, binding[slot.name], tpl.template_id, key, seed))
+        parts.append(literal)
+    return QuestionString(text="".join(parts), template_id=tpl.template_id,
+                          binding=dict(binding))
 
 
 def _alternation(options) -> str:
@@ -386,13 +409,9 @@ def _closed_surfaces(slot: SlotSpec) -> dict[str, object]:
 
 @lru_cache(maxsize=None)
 def _extraction_regex(template_id: str) -> re.Pattern:
-    tpl = load_templates().by_id(template_id)
-    pattern = tpl.pattern
-    pieces = []
-    cursor = 0
-    token_at = sorted((pattern.index(f"[{s.name}]"), s) for s in tpl.slots)
-    for pos, slot in token_at:
-        pieces.append(re.escape(pattern[cursor:pos]))
+    literals, slots = _pattern_pieces(template_id)
+    pieces = [re.escape(literals[0])]
+    for slot, literal in zip(slots, literals[1:]):
         group = f"(?P<{slot.name}>%s)"
         if slot.kind in SLOT_VALUES:
             body = group % _alternation(_closed_surfaces(slot))
@@ -404,8 +423,7 @@ def _extraction_regex(template_id: str) -> re.Pattern:
         else:
             body = group % ".+?"
         pieces.append(body)
-        cursor = pos + len(f"[{slot.name}]")
-    pieces.append(re.escape(pattern[cursor:]))
+        pieces.append(re.escape(literal))
     return re.compile("".join(pieces))
 
 

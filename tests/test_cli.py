@@ -185,3 +185,15 @@ def test_invalid_corpus_file_is_named_in_the_error(tmp_path, corpus_dir, capsys)
     err = capsys.readouterr().err
     assert code == 1
     assert "InvalidBBox" in err and "flat.json" in err
+
+
+def test_empty_reference_is_named_in_the_error(tmp_path, corpus_dir, capsys):
+    blank = stack_annotation("blank-ref", [[("title", "Intro"), ("text", "x")]],
+                             references=[""])
+    (corpus_dir / "blank.json").write_text(json.dumps(blank))
+    code = main(["generate", "--in", str(corpus_dir), "--out", str(tmp_path / "r.jsonl"),
+                 "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "MalformedInput" in err and "blank.json" in err and "'blank-ref'" in err
+    assert "Traceback" not in err

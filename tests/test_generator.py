@@ -16,9 +16,10 @@ from docqa_forge.generator import (
     resolve_workers,
 )
 from docqa_forge.graphs import build_graphs
+from docqa_forge.hashing import stable_unit
 from docqa_forge.model import TaskId
 from docqa_forge.programs import compile_program, execute, scope_for
-from docqa_forge.templates import load_templates
+from docqa_forge.templates import canonical_binding, enumerate_bindings, load_templates
 
 REG = load_templates()
 
@@ -237,3 +238,54 @@ def test_generation_builds_each_graph_and_scope_once(monkeypatch):
     assert sorted(args[0].index for args in spatial) == [0, 1]  # not the 27-element page
     assert [(args[0], args[2].index) for args in scopes] == [
         (TaskId.A, 0), (TaskId.B, 0), (TaskId.A, 1), (TaskId.B, 1)]
+
+
+def test_each_group_is_evaluated_once_per_scope(monkeypatch, hierarchy_doc):
+    # enumerate_bindings and execute as the generator looks them up; each
+    # execute call is tagged with the group of the enumeration before it
+    enumerated, executed = [], []
+    real_enumerate, real_execute = generator_module.enumerate_bindings, generator_module.execute
+
+    def counted_enumerate(*args):
+        bindings = real_enumerate(*args)
+        page = args[2]
+        enumerated.append((args[0].group, None if page is None else page.index, len(bindings)))
+        return bindings
+
+    def counted_execute(*args):
+        program, scope = args[0], args[1]
+        page = getattr(scope, "page", None)  # a DocumentScope has none
+        executed.append((enumerated[-1][0], None if page is None else page.index, program))
+        return real_execute(*args)
+
+    monkeypatch.setattr(generator_module, "enumerate_bindings", counted_enumerate)
+    monkeypatch.setattr(generator_module, "execute", counted_execute)
+
+    result = generate_corpus([hierarchy_doc], GenConfig(seed=1))
+    groups = {task: {tpl.group for tpl in REG.for_task(task)} for task in TaskId}
+    assert sorted(key[:2] for key in enumerated) == sorted(
+        [(group, index) for index in (0, 1)
+         for group in groups[TaskId.A] | groups[TaskId.B]]
+        + [(group, None) for group in groups[TaskId.C]])
+    assert len(executed) == len(set(executed)) == sum(n for _, _, n in enumerated)
+    assert {program.task for _, _, program in executed} == set(TaskId)
+    assert len(result.records) > len(executed)
+
+
+def test_per_template_cap_ranks_each_template_of_a_group(hierarchy_doc):
+    cap = 2
+    cfg = GenConfig(seed=7, tasks=("A",), per_template_cap=cap)
+    page = hierarchy_doc.pages[0]
+    records = generate_page(page, hierarchy_doc, build_graphs(hierarchy_doc), REG, cfg)
+    group = [tpl for tpl in REG if tpl.group == "exist_bare"]
+    bindings = enumerate_bindings(group[0], hierarchy_doc, page)
+    assert len(bindings) > cap
+    kept = {}
+    for tpl in group:
+        ranked = sorted(bindings, key=lambda b: stable_unit(
+            cfg.seed, "cap", hierarchy_doc.doc_id, page.index, tpl.template_id,
+            canonical_binding(b)))
+        kept[tpl.template_id] = sorted(canonical_binding(b) for b in ranked[:cap])
+        assert sorted(canonical_binding(r.binding) for r in records
+                      if r.template_id == tpl.template_id) == kept[tpl.template_id]
+    assert len({tuple(keys) for keys in kept.values()}) > 1

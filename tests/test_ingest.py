@@ -72,6 +72,14 @@ def test_parse_rejects_schema_violations(mutation):
         parse_document(json.dumps(data))
 
 
+@pytest.mark.parametrize("reference", ["", "  \t"])
+def test_parse_rejects_empty_reference(reference):
+    data = one_page([element("e1", "title", [10, 5, 90, 10])], doc_id="refs-doc")
+    data["references"] = ["Wang C et al,2017", reference]
+    with pytest.raises(MalformedInput, match=r"'refs-doc'.*reference 1 is empty"):
+        parse_document(json.dumps(data))
+
+
 def test_parse_rejects_non_json():
     with pytest.raises(MalformedInput):
         parse_document(b"{nope")

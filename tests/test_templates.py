@@ -7,6 +7,7 @@ from synthcorpus import random_processed_document
 from docqa_forge.errors import IncompleteBinding
 from docqa_forge.graphs import build_graphs
 from docqa_forge.model import TaskId
+from docqa_forge.programs import GROUP_PROGRAMS
 from docqa_forge.templates import (
     QuestionType,
     enumerate_bindings,
@@ -58,6 +59,18 @@ def test_every_slot_token_appears_in_pattern(registry):
     for tpl in registry:
         for slot in tpl.slots:
             assert f"[{slot.name}]" in tpl.pattern, tpl.template_id
+
+
+def test_templates_of_one_group_share_task_and_slots(registry):
+    # The generator evaluates each group once per scope and gives every
+    # template of the group the same bindings and answers; that is exact only
+    # while the templates agree on the task and the slot (name, kind) sequence.
+    signatures: dict[str, set] = {}
+    for tpl in registry:
+        slots = tuple((slot.name, slot.kind) for slot in tpl.slots)
+        signatures.setdefault(tpl.group, set()).add((tpl.task, slots))
+    assert set(signatures) == set(GROUP_PROGRAMS)
+    assert {group: sigs for group, sigs in signatures.items() if len(sigs) > 1} == {}
 
 
 # --- rendering ------------------------------------------------------------------
