@@ -35,14 +35,10 @@ def _pattern_of(record: QARecord) -> str:
     return load_templates().by_id(record.template_id).pattern
 
 
-def group_key(record: QARecord) -> tuple[str, str]:
-    return (record.task.value, _pattern_of(record))
-
-
 def _grouped(records):
     groups: dict[tuple[str, str], list[QARecord]] = {}
     for record in records:
-        groups.setdefault(group_key(record), []).append(record)
+        groups.setdefault((record.task.value, _pattern_of(record)), []).append(record)
     return groups
 
 

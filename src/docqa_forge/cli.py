@@ -8,7 +8,6 @@ Diagnostics go to stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -28,7 +27,14 @@ from .dataset import (
     write_dataset,
     write_records_jsonl,
 )
-from .errors import ForgeError, IoFailure, MalformedInput, UnknownDocument, UnknownPage
+from .errors import (
+    DuplicateId,
+    ForgeError,
+    IoFailure,
+    MalformedInput,
+    UnknownDocument,
+    UnknownPage,
+)
 from .evaluate import breakdown, evaluate, read_predictions_jsonl
 from .generator import GenConfig, generate_corpus, resolve_workers
 from .graphs import build_graphs
@@ -39,33 +45,43 @@ from .ingest import (
     preprocess_document,
 )
 from .model import Document
-from .programs import compile_program, execute_with_trace, scope_for
+from .programs import GROUP_PROGRAMS, trace_steps
 from .templates import load_templates
 
 
 def load_corpus(path) -> list[Document]:
     """Accept a directory of annotation files, one annotation file, or a
     processed corpus file produced by `forge ingest`. Every error names the
-    file it comes from."""
+    file it comes from, and each doc_id may appear only once."""
     path = Path(path)
     if path.is_dir():
-        docs = []
+        loaded = []
         for child in sorted(path.glob("*.json")):
             raw = _read_bytes(child)
             with _in_file(child):
-                docs.append(preprocess_document(parse_document(raw)))
-        if not docs:
+                loaded.append((child, preprocess_document(parse_document(raw))))
+        if not loaded:
             raise IoFailure(f"no .json documents under {path}")
-        return docs
-    raw = _read_bytes(path)
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"{path}: not valid JSON") from exc
-    with _in_file(path):
-        if isinstance(data, dict) and "documents" in data:
-            return [document_from_processed(d) for d in data["documents"]]
-        return [preprocess_document(parse_document(data))]
+    else:
+        raw = _read_bytes(path)
+        try:
+            data = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(f"{path}: not valid JSON") from exc
+        with _in_file(path):
+            if isinstance(data, dict) and "documents" in data:
+                if not isinstance(data["documents"], list):
+                    raise MalformedInput("documents must be a list")
+                loaded = [(path, document_from_processed(d)) for d in data["documents"]]
+            else:
+                loaded = [(path, preprocess_document(parse_document(data)))]
+    sources: dict[str, Path] = {}
+    for source, doc in loaded:
+        if doc.doc_id in sources:
+            raise DuplicateId(f"{source}: document {doc.doc_id!r} was already read "
+                              f"from {sources[doc.doc_id]}")
+        sources[doc.doc_id] = source
+    return [doc for _, doc in loaded]
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -138,31 +154,19 @@ def _cmd_generate(args) -> int:
     manifest_path = args.manifest or f"{args.out}.manifest.json"
     atomic_write_json(manifest_path, manifest)
     if args.trace:
-        _write_traces(result.records, corpus, args.trace)
+        _write_traces(result.records, args.trace)
     print(f"generated {len(result.records)} records "
           f"({resolve_workers(args.workers)} workers) -> {args.out}", file=sys.stderr)
     return 0
 
 
-def _write_traces(records, corpus, path) -> None:
-    registry = load_templates()
-    docs = {doc.doc_id: doc for doc in corpus}
-    lines = []
-    # Records come grouped by document; graphs and scopes (each carrying its
-    # index) are built once per document, and per page and task.
-    for doc_id, group in itertools.groupby(records, key=lambda r: r.doc_id):
-        group = list(group)
-        doc = docs[doc_id]
-        graphs = build_graphs(doc, sorted({r.page_index for r in group} - {None}))
-        scopes = {}
-        for record in group:
-            key = (record.task, record.page_index)
-            if key not in scopes:
-                page = doc.pages[record.page_index] if record.page_index is not None else None
-                scopes[key] = scope_for(record.task, doc, page)
-            program = compile_program(registry.by_id(record.template_id), record.binding)
-            _, trace = execute_with_trace(program, scopes[key], graphs)
-            lines.append(json.dumps({"qid": record.qid, "trace": trace}))
+def _write_traces(records, path) -> None:
+    """One line per record, in record order: the steps of the execution that
+    produced its answer, as generation recorded them."""
+    ops = {tpl.template_id: [op for op, _ in GROUP_PROGRAMS[tpl.group]]
+           for tpl in load_templates()}
+    lines = [json.dumps({"qid": r.qid, "trace": trace_steps(ops[r.template_id], r.step_sizes)})
+             for r in records]
     atomic_write_text(Path(path), ("\n".join(lines) + "\n") if lines else "")
 
 

@@ -20,7 +20,7 @@ class InvalidBBox(ForgeError):
 
 
 class DuplicateId(ForgeError):
-    """Two elements in one document share an id."""
+    """Two elements in one document, or two documents in one corpus, share an id."""
 
 
 # --- relational graphs ----------------------------------------------------

@@ -67,6 +67,9 @@ class QARecord:
     template_id: str
     binding: dict
     answer: AnswerValue
+    # execute's per-step output sizes for this answer (see programs.trace_steps);
+    # kept for --trace, not part of the record's JSON or equality.
+    step_sizes: tuple = field(default=(), compare=False, repr=False)
 
 
 @dataclass
@@ -88,8 +91,8 @@ def make_qid(doc_id: str, page_index: int | None, template_id: str, binding: dic
 
 
 def _evaluate_group(tpl, scope, page: Page | None, graphs) -> list[tuple]:
-    """(binding, canonical key, answer) for every binding of tpl's group in
-    one scope; answer is None where every template of the group drops it.
+    """(binding, canonical key, answer, step sizes) for every binding of tpl's
+    group in one scope; answer is None where every template of the group drops it.
 
     The templates of a group share their slots and their program (see
     GROUP_PROGRAMS), so any of them gives the same bindings and answers.
@@ -97,8 +100,9 @@ def _evaluate_group(tpl, scope, page: Page | None, graphs) -> list[tuple]:
     rows = []
     for binding in enumerate_bindings(tpl, scope.doc, page, graphs):
         program = compile_program(tpl, binding)  # validates the binding, once
+        sizes: list = []
         try:
-            answer = execute(program, scope, graphs)
+            answer = execute(program, scope, graphs, sizes)
         except OverflowAnswer:
             answer = None
         except AnchorNotFound as exc:
@@ -106,7 +110,7 @@ def _evaluate_group(tpl, scope, page: Page | None, graphs) -> list[tuple]:
             answer = None
         if answer is not None and answer.kind == "na" and tpl.task != TaskId.B:
             answer = None  # only Task B keeps unanswerable questions
-        rows.append((binding, canonical_binding(binding), answer))
+        rows.append((binding, canonical_binding(binding), answer, tuple(sizes)))
     return rows
 
 
@@ -134,7 +138,8 @@ def _generate_scope(templates, scope, page: Page | None, graphs,
         rows = evaluated.get(tpl.group)
         if rows is None:
             rows = evaluated[tpl.group] = _evaluate_group(tpl, scope, page, graphs)
-        for binding, key, answer in _cap_rows(rows, cfg, doc_id, page_index, tpl.template_id):
+        for binding, key, answer, sizes in _cap_rows(rows, cfg, doc_id, page_index,
+                                                      tpl.template_id):
             if answer is None:
                 continue
             qid = make_qid(doc_id, page_index, tpl.template_id, binding, key=key)
@@ -144,7 +149,7 @@ def _generate_scope(templates, scope, page: Page | None, graphs,
             records.append(QARecord(qid=qid, task=tpl.task, qtype=tpl.qtype, doc_id=doc_id,
                                     page_index=page_index, question=question.text,
                                     template_id=tpl.template_id, binding=dict(binding),
-                                    answer=answer))
+                                    answer=answer, step_sizes=sizes))
     return records
 
 

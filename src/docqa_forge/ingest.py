@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from .errors import DuplicateId, InvalidBBox, MalformedInput
 from .geometry import BoundingBox
-from .model import UNASSIGNED, Document, DocElement, ElementCategory, Page, TaskId
+from .model import Document, DocElement, ElementCategory, Page, TaskId
 
 # Column clustering: a new column starts when an element's x-center sits more
 # than this fraction of the page width away from the running column center.
@@ -254,7 +254,7 @@ def associate_captions(page: Page) -> Page:
     texts = [el for el in page.elements if el.category == ElementCategory.TEXT]
     owners = pair_captions(anchors, texts)
     elements = tuple(
-        el.with_category(owners[el.id].category.caption_kind) if el.id in owners else el
+        replace(el, category=owners[el.id].category.caption_kind) if el.id in owners else el
         for el in page.elements
     )
     return replace(page, elements=elements)
@@ -374,16 +374,44 @@ def document_to_processed(doc: Document) -> dict:
 
 
 def document_from_processed(data: dict) -> Document:
+    """Inverse of document_to_processed. Reading indices must number each
+    page's elements 0..n-1 and the document's 0..N-1; the mention index must
+    map each label to a list of the document's element ids."""
     doc = parse_document(data)
+    total = doc.element_count
+    doc_seen: set[int] = set()
     pages = []
     for page, page_raw in zip(doc.pages, data["pages"]):
+        page_seen: set[int] = set()
         elements = []
-        for el, el_raw in zip(page.elements, page_raw["elements"]):
-            pri = el_raw.get("page_reading_index", UNASSIGNED)
-            dri = el_raw.get("doc_reading_index", UNASSIGNED)
+        for el, el_raw in zip(page.elements, page_raw.get("elements", [])):
+            pri = _reading_index(doc.doc_id, el.id, el_raw, "page_reading_index",
+                                 len(page.elements), page_seen)
+            dri = _reading_index(doc.doc_id, el.id, el_raw, "doc_reading_index",
+                                 total, doc_seen)
             elements.append(replace(el, page_reading_index=pri, doc_reading_index=dri))
         pages.append(replace(page, elements=tuple(elements)))
-    mention_index = {
-        k: tuple(v) for k, v in sorted(data.get("mention_index", {}).items())
-    }
+    mentions = data.get("mention_index", {})
+    if not isinstance(mentions, dict):
+        raise MalformedInput(f"document {doc.doc_id!r}: mention_index must be an object")
+    for label, el_ids in mentions.items():
+        if not isinstance(el_ids, list):
+            raise MalformedInput(f"document {doc.doc_id!r}: mention_index entry {label!r} "
+                                 f"must be a list of element ids")
+        for el_id in el_ids:
+            if not isinstance(el_id, str) or el_id not in doc.by_id:
+                raise MalformedInput(f"document {doc.doc_id!r}: mention_index entry {label!r} "
+                                     f"names unknown element {el_id!r}")
+    mention_index = {k: tuple(v) for k, v in sorted(mentions.items())}
     return replace(doc, pages=tuple(pages), mention_index=mention_index)
+
+
+def _reading_index(doc_id: str, el_id: str, el_raw: dict, key: str, count: int,
+                   seen: set[int]) -> int:
+    """el_raw[key], if it is an int in 0..count-1 that no element in seen took."""
+    value = el_raw.get(key)
+    if type(value) is not int or not 0 <= value < count or value in seen:  # bool is no index
+        raise MalformedInput(f"document {doc_id!r}: element {el_id!r}: {key} must be a "
+                             f"distinct integer in 0..{count - 1}, got {value!r}")
+    seen.add(value)
+    return value

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -71,9 +71,6 @@ class DocElement:
     parent_id: str | None = None
     page_reading_index: int = UNASSIGNED
     doc_reading_index: int = UNASSIGNED
-
-    def with_category(self, category: ElementCategory) -> "DocElement":
-        return replace(self, category=category)
 
 
 @dataclass(frozen=True)

@@ -280,29 +280,31 @@ def _described_by(el: DocElement, graphs: GraphBundle,
 
 def execute(prog: FunctionalProgram, scope, graphs: GraphBundle,
             trace: list | None = None) -> AnswerValue:
-    """Evaluate the chain left to right and render the task's answer kind."""
+    """Evaluate the chain left to right and render the task's answer kind.
+
+    A trace list receives each executed step's output size: the element
+    count of a set, 1 for any other value, None where the value became NA,
+    which ends the chain (see trace_steps).
+    """
     check_chain(prog.steps, prog.task)
     value = scope if SIGNATURES[prog.steps[0].op][0] == SCOPE else scope.index.everything
 
-    for i, step in enumerate(prog.steps):
+    for step in prog.steps:
         if value is _NA:
             break
         value = _apply(step, value, scope, graphs)
         if trace is not None:
-            out_kind = SIGNATURES[step.op][1]
-            if value is _NA:
-                out_kind, size = "na", 0
-            else:
-                size = value.bit_count() if out_kind == ELEMS else 1
-            trace.append({"step": i, "function": step.op,
-                          "output_kind": out_kind, "output_size": size})
+            trace.append(None if value is _NA
+                         else value.bit_count() if SIGNATURES[step.op][1] == ELEMS else 1)
     return _render(prog, value, scope)
 
 
-def execute_with_trace(prog: FunctionalProgram, scope, graphs: GraphBundle):
-    trace: list = []
-    answer = execute(prog, scope, graphs, trace=trace)
-    return answer, trace
+def trace_steps(ops, sizes) -> list[dict]:
+    """The steps of one execution, from its ops and the sizes execute traced."""
+    return [{"step": i, "function": op,
+             "output_kind": "na" if size is None else SIGNATURES[op][1],
+             "output_size": size or 0}
+            for i, (op, size) in enumerate(zip(ops, sizes))]
 
 
 def _apply(step: Step, value, scope, graphs: GraphBundle):

@@ -99,12 +99,6 @@ class QuestionTemplate:
     pattern: str
     slots: tuple[SlotSpec, ...]
 
-    def slot(self, name: str) -> SlotSpec:
-        for s in self.slots:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class QuestionString:

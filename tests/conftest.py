@@ -5,6 +5,7 @@ import json
 import pytest
 
 from docqa_forge.ingest import parse_document, preprocess_document
+from docqa_forge.programs import execute, trace_steps
 
 
 def stack_annotation(doc_id, pages, width=100.0, height=100.0, references=None):
@@ -40,6 +41,13 @@ def stack_annotation(doc_id, pages, width=100.0, height=100.0, references=None):
 
 def build_document(annotation):
     return preprocess_document(parse_document(json.dumps(annotation)))
+
+
+def execute_with_trace(prog, scope, graphs):
+    """execute's answer and the trace --trace writes for it."""
+    sizes: list = []
+    answer = execute(prog, scope, graphs, trace=sizes)
+    return answer, trace_steps([step.op for step in prog.steps], sizes)
 
 
 # --- P1: the five-element single-column page used across examples -----------

@@ -197,3 +197,104 @@ def test_empty_reference_is_named_in_the_error(tmp_path, corpus_dir, capsys):
     assert code == 1
     assert "MalformedInput" in err and "blank.json" in err and "'blank-ref'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("processed", [False, True])
+def test_duplicate_doc_id_is_rejected(tmp_path, corpus_dir, capsys, processed):
+    (corpus_dir / "p1_copy.json").write_text((corpus_dir / "p1.json").read_text())
+    source = corpus_dir
+    if processed:
+        source = tmp_path / "corpus.json"
+        assert main(["ingest", "--in", str(corpus_dir / "p1.json"), "--out", str(source)]) == 0
+        payload = json.loads(source.read_text())
+        payload["documents"] *= 2
+        source.write_text(json.dumps(payload))
+    code = main(["generate", "--in", str(source), "--out", str(tmp_path / "r.jsonl"),
+                 "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "DuplicateId" in err and "'p1-doc'" in err and "Traceback" not in err
+    named = ["corpus.json"] if processed else ["p1.json", "p1_copy.json"]
+    assert all(name in err for name in named)
+
+
+def _no_documents(payload):
+    payload["documents"] = 5
+
+
+def _listed_mentions(payload):
+    payload["documents"][0]["mention_index"] = []
+
+
+def _unknown_mention(payload):
+    payload["documents"][0]["mention_index"]["Table 1"] = ["ghost"]
+
+
+def _string_reading_index(payload):
+    payload["documents"][0]["pages"][0]["elements"][0]["page_reading_index"] = "0"
+
+
+def _missing_reading_indices(payload):
+    for el in payload["documents"][0]["pages"][0]["elements"]:
+        del el["page_reading_index"], el["doc_reading_index"]
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (_no_documents, "documents must be a list"),
+    (_listed_mentions, "'p1-doc'"),
+    (_unknown_mention, "'ghost'"),
+    (_string_reading_index, "'e1'"),
+    (_missing_reading_indices, "'e1'"),
+])
+def test_malformed_processed_corpus_is_named_in_the_error(tmp_path, corpus_dir, capsys,
+                                                          corrupt, named):
+    processed = tmp_path / "corpus.json"
+    assert main(["ingest", "--in", str(corpus_dir / "p1.json"), "--out", str(processed)]) == 0
+    payload = json.loads(processed.read_text())
+    corrupt(payload)
+    processed.write_text(json.dumps(payload))
+    code = main(["generate", "--in", str(processed), "--out", str(tmp_path / "r.jsonl"),
+                 "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "MalformedInput" in err and "corpus.json" in err and named in err
+    assert "Traceback" not in err
+
+
+def test_trace_runs_no_program_twice(tmp_path, corpus_dir, monkeypatch):
+    # every compile_program/execute a module can reach, however it looks them up
+    import docqa_forge.cli as cli_module
+    import docqa_forge.generator as generator_module
+    import docqa_forge.programs as programs_module
+    calls = {"compile_program": 0, "execute": 0}
+    for module in (programs_module, generator_module, cli_module):
+        for name in calls:
+            real = getattr(module, name, None)
+            if real is None:
+                continue
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+    counts = []
+    for extra in ([], ["--trace", str(tmp_path / "trace.jsonl")]):
+        calls.update(compile_program=0, execute=0)
+        assert main(["generate", "--in", str(corpus_dir), "--out", str(tmp_path / "r.jsonl"),
+                     "--seed", "7", "--workers", "1", *extra]) == 0
+        counts.append(dict(calls))
+    assert counts[0]["execute"] > 0
+    assert counts[1] == counts[0]
+
+
+def test_trace_has_one_line_per_record_for_any_worker_count(tmp_path, corpus_dir):
+    traces = []
+    for workers in ("1", "2"):
+        raw, trace = tmp_path / f"raw{workers}.jsonl", tmp_path / f"trace{workers}.jsonl"
+        assert main(["generate", "--in", str(corpus_dir), "--out", str(raw), "--seed", "7",
+                     "--workers", workers, "--trace", str(trace)]) == 0
+        qids = [json.loads(line)["qid"] for line in raw.read_text().splitlines()]
+        assert [json.loads(line)["qid"] for line in trace.read_text().splitlines()] == qids
+        traces.append(trace.read_bytes())
+    assert traces[0] == traces[1]

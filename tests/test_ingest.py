@@ -10,6 +10,7 @@ from docqa_forge.errors import DuplicateId, InvalidBBox, MalformedInput
 from docqa_forge.ingest import (
     assign_reading_order,
     associate_captions,
+    document_from_processed,
     parse_document,
     preprocess_document,
     serialize_document,
@@ -304,3 +305,9 @@ def test_empty_document_excluded_with_reason():
         report = validate_for_generation(preprocess_document(doc), task)
         assert not report.document_eligible
         assert report.excluded[0].reason == "no elements"
+
+
+def test_processed_page_without_elements_key_loads():
+    doc = document_from_processed({"doc_id": "bare", "pages": [
+        {"index": 0, "width": 10, "height": 10}]})
+    assert doc.element_count == 0 and doc.mention_index == {}

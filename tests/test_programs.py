@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import build_document, stack_annotation
+from conftest import build_document, execute_with_trace, stack_annotation
 from synthcorpus import random_page_document
 from docqa_forge.errors import AnchorNotFound, OverflowAnswer, TypeMismatch
 from docqa_forge.graphs import build_graphs
@@ -13,7 +13,6 @@ from docqa_forge.programs import (
     Step,
     compile_program,
     execute,
-    execute_with_trace,
     scope_for,
 )
 from docqa_forge.templates import load_templates
