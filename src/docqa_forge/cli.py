@@ -165,8 +165,16 @@ def _write_traces(records, path) -> None:
     produced its answer, as generation recorded them."""
     ops = {tpl.template_id: [op for op, _ in GROUP_PROGRAMS[tpl.group]]
            for tpl in load_templates()}
-    lines = [json.dumps({"qid": r.qid, "trace": trace_steps(ops[r.template_id], r.step_sizes)})
-             for r in records]
+    # Records of one template share few step-size patterns, so each distinct
+    # trace is encoded once; the line equals json.dumps({"qid": .., "trace": ..}).
+    traces: dict[tuple, str] = {}
+    lines = []
+    for r in records:
+        key = (r.template_id, r.step_sizes)
+        trace = traces.get(key)
+        if trace is None:
+            trace = traces[key] = json.dumps(trace_steps(ops[r.template_id], r.step_sizes))
+        lines.append(f'{{"qid": {json.dumps(r.qid)}, "trace": {trace}}}')
     atomic_write_text(Path(path), ("\n".join(lines) + "\n") if lines else "")
 
 

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import BadRatios, IoFailure, SchemaViolation
 from .generator import QARecord
+from .ingest import PAGE_ELEMENT_LIMIT
 from .model import TaskId
-from .programs import AnswerValue
+from .programs import TOKEN_ANSWERS, AnswerValue
 from .templates import SLOT_VALUES, QuestionType, load_templates
 
 SPLIT_NAMES = ("train", "valid", "test")
@@ -26,26 +30,36 @@ def answer_to_json(answer: AnswerValue) -> dict:
     return {"kind": answer.kind, "value": value}
 
 
+@lru_cache(maxsize=1)
+def _fixed_answers() -> tuple[dict[str, AnswerValue], tuple[AnswerValue, ...], AnswerValue]:
+    """One shared AnswerValue per fixed token, per page index and for N/A;
+    answers are immutable, so every record read may hold the same one."""
+    return ({t: AnswerValue.token(t) for t in TOKEN_ANSWERS},
+            tuple(AnswerValue.index(i) for i in range(PAGE_ELEMENT_LIMIT)),
+            AnswerValue.na())
+
+
 def answer_from_json(data) -> AnswerValue:
     if not isinstance(data, dict) or "kind" not in data:
         raise SchemaViolation(f"bad answer payload: {data!r}")
     kind = data["kind"]
     value = data.get("value")
+    tokens, indices, na = _fixed_answers()
     if kind == "token":
         if not isinstance(value, str):
             raise SchemaViolation(f"token answer needs a string, got {value!r}")
-        return AnswerValue.token(value)
+        return tokens.get(value) or AnswerValue.token(value)
     if kind == "index":
         if not isinstance(value, int) or isinstance(value, bool):
             raise SchemaViolation(f"index answer needs an int, got {value!r}")
-        return AnswerValue.index(value)
+        return indices[value] if 0 <= value < len(indices) else AnswerValue.index(value)
     if kind == "index_set":
         if (not isinstance(value, list) or not value
                 or any(isinstance(v, bool) or not isinstance(v, int) for v in value)):
             raise SchemaViolation(f"index_set answer needs a nonempty int list, got {value!r}")
         return AnswerValue.index_set(value)
     if kind == "na":
-        return AnswerValue.na()
+        return na
     raise SchemaViolation(f"unknown answer kind {kind!r}")
 
 
@@ -63,71 +77,118 @@ def record_to_json(record: QARecord) -> dict:
     }
 
 
+@lru_cache(maxsize=1)
+def _template_classes() -> dict[str, tuple[str, str, TaskId, QuestionType, frozenset]]:
+    """template_id -> (task, qtype) as JSON strings and as enums, and its slot names."""
+    return {t.template_id: (t.task.value, t.qtype.value, t.task, t.qtype,
+                            frozenset(slot.name for slot in t.slots))
+            for t in load_templates()}
+
+
 def record_from_json(data) -> QARecord:
     if not isinstance(data, dict):
         raise SchemaViolation("record line must be a JSON object")
     try:
-        task = TaskId(data["task"])
-        qtype = QuestionType(data["qtype"])
-        record = QARecord(
-            qid=data["qid"],
-            task=task,
-            qtype=qtype,
-            doc_id=data["doc_id"],
-            page_index=data["page"],
-            question=data["question"],
-            template_id=data["template_id"],
-            binding=dict(data["bindings"]),
-            answer=answer_from_json(data["answer"]),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise SchemaViolation(f"bad record: {exc}") from exc
-    if not isinstance(record.qid, str) or not isinstance(record.question, str):
-        raise SchemaViolation("qid and question must be strings")
-    if record.page_index is not None and (
-            isinstance(record.page_index, bool) or not isinstance(record.page_index, int)):
-        raise SchemaViolation(f"page must be an integer or null (qid {record.qid})")
-    if (record.page_index is None) != (task == TaskId.C):
-        raise SchemaViolation(f"page must be set exactly for Tasks A/B (qid {record.qid})")
-    try:
-        tpl = load_templates().by_id(record.template_id)
+        qid, task, qtype, doc_id = data["qid"], data["task"], data["qtype"], data["doc_id"]
+        page, question, template_id = data["page"], data["question"], data["template_id"]
+        binding, answer = data["bindings"], data["answer"]
     except KeyError as exc:
-        raise SchemaViolation(f"unknown template_id {record.template_id!r}") from exc
-    if tpl.task != task or tpl.qtype != qtype:
-        raise SchemaViolation(f"template {record.template_id!r} does not belong to "
-                              f"task {task.value}/{qtype.value}")
-    return record
+        raise SchemaViolation(f"bad record: missing field {exc}") from exc
+    if not (isinstance(qid, str) and isinstance(question, str)
+            and isinstance(doc_id, str) and isinstance(template_id, str)):
+        raise SchemaViolation("qid, question, doc_id and template_id must be strings")
+    classes = _template_classes().get(template_id)
+    if classes is None:
+        raise SchemaViolation(f"unknown template_id {template_id!r} (qid {qid})")
+    task_value, qtype_value, task_id, qtype_id, slot_names = classes
+    if task != task_value or qtype != qtype_value:
+        raise SchemaViolation(f"template {template_id!r} does not belong to "
+                              f"task {task!r}/{qtype!r} (qid {qid})")
+    if page is not None and (isinstance(page, bool) or not isinstance(page, int)):
+        raise SchemaViolation(f"page must be an integer or null (qid {qid})")
+    if (page is None) != (task_id is TaskId.C):
+        raise SchemaViolation(f"page must be set exactly for Tasks A/B (qid {qid})")
+    if not isinstance(binding, dict) or binding.keys() != slot_names:
+        raise SchemaViolation(f"bindings must be an object naming exactly the slots "
+                              f"{sorted(slot_names)} of template {template_id!r} (qid {qid})")
+    return QARecord(qid, task_id, qtype_id, doc_id, page, question, template_id, binding,
+                    answer_from_json(answer))
+
+
+def _json_value(value) -> str:
+    """json.dumps(value); the str and int values records hold most, directly."""
+    if type(value) is str:
+        return _quote(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+def _record_line(r: QARecord) -> str:
+    """json.dumps(record_to_json(r), ensure_ascii=True), built without the dict;
+    tests/test_dataset.py holds the two equal. Binding keys are strings."""
+    binding = ", ".join([f"{_quote(k)}: {_json_value(v)}" for k, v in r.binding.items()])
+    page = "null" if r.page_index is None else _json_value(r.page_index)
+    answer = r.answer
+    value = "null" if answer.value is None else _json_value(answer.value)
+    return (f'{{"qid": {_quote(r.qid)}, "task": {_quote(r.task.value)}, '
+            f'"qtype": {_quote(r.qtype.value)}, "doc_id": {_quote(r.doc_id)}, "page": {page}, '
+            f'"question": {_quote(r.question)}, "template_id": {_quote(r.template_id)}, '
+            f'"bindings": {{{binding}}}, '
+            f'"answer": {{"kind": {_quote(answer.kind)}, "value": {value}}}}}')
 
 
 def write_records_jsonl(records, path) -> None:
-    lines = [json.dumps(record_to_json(r), ensure_ascii=True) for r in records]
+    lines = [_record_line(r) for r in records]
     payload = ("\n".join(lines) + "\n") if lines else ""
     atomic_write_text(Path(path), payload)
 
 
-def jsonl_lines(path):
-    """Yield (lineno, value) for each nonblank line of a JSONL file.
+def jsonl_lines(path, parse) -> list:
+    """parse(value) for the value on each nonblank line of a JSONL file, in order.
 
-    Raises IoFailure when the file cannot be read and SchemaViolation naming
-    path:lineno when a line is not valid JSON.
+    Raises IoFailure when the file cannot be read, and SchemaViolation naming
+    path:lineno when a line is not one valid JSON value or parse rejects it
+    with a SchemaViolation.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"{path}:{lineno}: not valid JSON") from exc
-        yield lineno, data
+    scan = json.JSONDecoder().scan_once
+    parsed = []
+    # The values are trees, freed by reference counting; collector passes over
+    # the growing list would only cost time. Restored on every path.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            try:
+                data, end = scan(line, 0)
+            except (StopIteration, json.JSONDecodeError, RecursionError):
+                end = -1
+            if end != len(line):
+                # Not one value spanning the whole line: decode it as
+                # json.loads does (surrounding whitespace allowed) or reject it.
+                if not line.strip():
+                    continue
+                try:
+                    data = json.loads(line)
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    raise SchemaViolation(f"{path}:{lineno}: not valid JSON") from exc
+            try:
+                parsed.append(parse(data))
+            except SchemaViolation as exc:
+                raise SchemaViolation(f"{path}:{lineno}: {exc}") from exc
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return parsed
 
 
 def read_records_jsonl(path) -> list[QARecord]:
-    return [record_from_json(data) for _, data in jsonl_lines(path)]
+    return jsonl_lines(path, record_from_json)
 
 
 def atomic_write_text(path: Path, payload: str) -> None:

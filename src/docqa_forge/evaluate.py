@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .dataset import answer_from_json, jsonl_lines
 from .errors import KindMismatch, MissingPrediction, SchemaViolation, UnknownQid
 from .generator import QARecord
@@ -28,14 +26,14 @@ _QTYPE_HEADERS = {
 }
 
 
+def _prediction_from_json(data) -> tuple[str, AnswerValue]:
+    if not isinstance(data, dict) or not isinstance(data.get("qid"), str):
+        raise SchemaViolation("prediction needs a qid")
+    return data["qid"], answer_from_json(data.get("answer"))
+
+
 def read_predictions_jsonl(path) -> dict[str, AnswerValue]:
-    path = Path(path)
-    preds: dict[str, AnswerValue] = {}
-    for lineno, data in jsonl_lines(path):
-        if not isinstance(data, dict) or not isinstance(data.get("qid"), str):
-            raise SchemaViolation(f"{path}:{lineno}: prediction needs a qid")
-        preds[data["qid"]] = answer_from_json(data.get("answer"))
-    return preds
+    return dict(jsonl_lines(path, _prediction_from_json))
 
 
 def _check_kinds(gold, preds, strict: bool):

@@ -11,7 +11,8 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from .errors import AnchorNotFound, OverflowAnswer
 from .graphs import GraphBundle, build_graphs
@@ -56,7 +57,7 @@ class GenConfig:
         return stable_hex("config", blob)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QARecord:
     qid: str
     task: TaskId
@@ -70,6 +71,14 @@ class QARecord:
     # execute's per-step output sizes for this answer (see programs.trace_steps);
     # kept for --trace, not part of the record's JSON or equality.
     step_sizes: tuple = field(default=(), compare=False, repr=False)
+
+    def __reduce__(self):
+        # The fields as constructor arguments: smaller and faster to pickle
+        # (workers ship records) than the default per-slot state dict.
+        return type(self), _record_fields(self)
+
+
+_record_fields = attrgetter(*(f.name for f in fields(QARecord)))
 
 
 @dataclass

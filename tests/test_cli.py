@@ -298,3 +298,49 @@ def test_trace_has_one_line_per_record_for_any_worker_count(tmp_path, corpus_dir
         assert [json.loads(line)["qid"] for line in trace.read_text().splitlines()] == qids
         traces.append(trace.read_bytes())
     assert traces[0] == traces[1]
+
+
+def _a01_line(i, **fields):
+    data = {"qid": f"q{i}", "task": "A", "qtype": "existence", "doc_id": f"pg{i % 2:04d}",
+            "page": 0, "question": "Is there any table on the top of this page?",
+            "template_id": "A01", "bindings": {"E": "table", "pos": "top"},
+            "answer": {"kind": "token", "value": "yes"}}
+    data.update(fields)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("balance", "template_id", "Z99"),
+    ("balance", "template_id", ["A01"]),
+    ("split", "doc_id", ["pg0000"]),
+    ("stats", "bindings", {"E": "table"}),
+    ("eval", "doc_id", 7),
+])
+def test_bad_record_is_named_in_the_error(tmp_path, capsys, command, field, value):
+    records = tmp_path / "bad.jsonl"
+    records.write_text("\n".join([_a01_line(1), _a01_line(2), _a01_line(3, **{field: value})])
+                       + "\n")
+    argv = {
+        "balance": ["balance", "--in", str(records), "--out", str(tmp_path / "b.jsonl"),
+                    "--seed", "1"],
+        "split": ["split", "--in", str(records), "--out-dir", str(tmp_path / "ds"),
+                  "--ratios", "0.5,0.25,0.25", "--seed", "1"],
+        "stats": ["stats", "--in", str(records)],
+        "eval": ["eval", "--gold", str(records), "--pred", str(records)],
+    }[command]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: SchemaViolation: {records}:3: " in err
+    assert "Traceback" not in err
+
+
+def test_bad_prediction_is_named_in_the_error(tmp_path, capsys):
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text(_a01_line(1) + "\n" + _a01_line(2) + "\n")
+    pred.write_text(json.dumps({"qid": "q1", "answer": {"kind": "token", "value": "yes"}}) + "\n"
+                    + json.dumps({"qid": "q2", "answer": {"kind": "wibble"}}) + "\n")
+    code = main(["eval", "--gold", str(gold), "--pred", str(pred)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: SchemaViolation: {pred}:2: unknown answer kind 'wibble'" in err

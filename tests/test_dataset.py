@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import json
+import re
 
 import pytest
 
@@ -136,6 +138,115 @@ def test_bad_answer_kind_raises():
     data["answer"]["kind"] = "wibble"
     with pytest.raises(SchemaViolation):
         record_from_json(data)
+
+
+def _record_line(i, **fields):
+    data = record_to_json(rec(i))
+    data.update(fields)
+    return json.dumps(data)
+
+
+def _record_file(tmp_path, lines):
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("joiner", ["", ",", " ", ", "])
+def test_two_records_on_one_line_are_rejected(tmp_path, joiner):
+    path = _record_file(tmp_path, [_record_line(0), _record_line(1) + joiner + _record_line(2)])
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(str(path))}:2: not valid JSON$"):
+        read_records_jsonl(path)
+
+
+def _halves(payload):
+    """The record cut at the separator before "question": joined by "," the
+    two halves are the record again, but neither is valid JSON alone."""
+    cut = payload.index(', "question"')
+    return payload[:cut], payload[cut + 2:]
+
+
+def test_record_split_over_two_lines_is_rejected(tmp_path):
+    path = _record_file(tmp_path, [_record_line(0), *_halves(_record_line(1))])
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(str(path))}:2: not valid JSON$"):
+        read_records_jsonl(path)
+
+
+def test_joined_records_then_split_record_are_rejected(tmp_path):
+    # Joined to "[" + ",".join(lines) + "]" these lines would decode to
+    # three records, one per line; each line must hold exactly one.
+    path = _record_file(tmp_path, [_record_line(0) + "," + _record_line(1),
+                                   *_halves(_record_line(2))])
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(str(path))}:1: not valid JSON$"):
+        read_records_jsonl(path)
+
+
+def test_overdeep_line_is_rejected(tmp_path):
+    path = _record_file(tmp_path, [_record_line(0), "[" * 100_000 + "]" * 100_000])
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(str(path))}:2: not valid JSON$"):
+        read_records_jsonl(path)
+
+
+def test_blank_and_padded_lines(tmp_path):
+    path = _record_file(tmp_path, ["", _record_line(0), "   ", "\t", " " + _record_line(1) + " ",
+                                   "", _record_line(2)])
+    assert read_records_jsonl(path) == [rec(0), rec(1), rec(2)]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("bad_line", [None, "{", _record_line(9, template_id="Z99")],
+                         ids=["valid", "bad-json", "bad-record"])
+def test_reader_restores_the_collector(tmp_path, enabled, bad_line):
+    lines = [_record_line(0), _record_line(1)] + ([bad_line] if bad_line else [])
+    path = _record_file(tmp_path, lines)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if bad_line is None:
+            assert len(read_records_jsonl(path)) == 2
+        else:
+            with pytest.raises(SchemaViolation, match=f"^{re.escape(str(path))}:3: "):
+                read_records_jsonl(path)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+def _writer_cases():
+    def make(qid, template_id, qtype, task, page, question, binding, answer):
+        return QARecord(qid=qid, task=task, qtype=qtype, doc_id="d\u00e9j\u00e0-1",
+                        page_index=page, question=question, template_id=template_id,
+                        binding=binding, answer=answer)
+    return [
+        make("q1", "A01", QuestionType.EXISTENCE, TaskId.A, 0,
+             "Is there any table on the top of this page?", {"E": "table", "pos": "top"},
+             AnswerValue.token("no")),
+        make("q2", "A28", QuestionType.COUNTING, TaskId.A, 3,
+             "Can you find 2 table(s) on the page?", {"num": 2, "E": "table"},
+             AnswerValue.token("yes")),
+        make("q3", "B01", QuestionType.STRUCTURAL_UNDERSTANDING, TaskId.B, 1,
+             "What is the first section in this page?", {"turn": "first"},
+             AnswerValue.index(24)),
+        make("q4", "B01", QuestionType.STRUCTURAL_UNDERSTANDING, TaskId.B, 1,
+             "What is the last section in this page?", {"turn": "last"}, AnswerValue.na()),
+        make("q5", "C11", QuestionType.PARENT_RELATION, TaskId.C, None,
+             "Which section does include the M\u00fcller \u201cet al\u201d, 2019 \u2014 \u6587?",
+             {"E": "M\u00fcller \u201cet al\u201d, 2019 \u2014 \u6587"},
+             AnswerValue.index_set([130, 2, 7])),
+        make("q6", "C11", QuestionType.PARENT_RELATION, TaskId.C, None,
+             "Which section does include the \"quoted\\path\"\n\u2028?",
+             {"E": "\"quoted\\path\"\n\u2028"},
+             AnswerValue.na()),
+    ]
+
+
+def test_writer_bytes_equal_json_dumps(tmp_path):
+    records = _writer_cases()
+    path = tmp_path / "w.jsonl"
+    write_records_jsonl(records, path)
+    expected = "".join(json.dumps(record_to_json(r), ensure_ascii=True) + "\n" for r in records)
+    assert path.read_bytes() == expected.encode("ascii")
+    assert read_records_jsonl(path) == records
 
 
 # --- statistics --------------------------------------------------------------------
