@@ -86,11 +86,6 @@ def balance_parameters(records: list[QARecord], cfg: BalanceConfig) -> list[QARe
         lambda sizes: max(1, math.ceil(cfg.param_ratio * statistics.median(sorted(sizes)))))
 
 
-def balance(records: list[QARecord], cfg: BalanceConfig) -> list[QARecord]:
-    """Answer-based stage followed by the question-based smoothing stage."""
-    return balance_parameters(balance_answers(records, cfg), cfg)
-
-
 def reduction_factor(before: int, after: int) -> float | None:
     if after == 0:
         return None

@@ -37,8 +37,9 @@ from .errors import (
 )
 from .evaluate import breakdown, evaluate, read_predictions_jsonl
 from .generator import GenConfig, generate_corpus, resolve_workers
-from .graphs import build_graphs
+from .graphs import build_graphs, explicit_parents
 from .ingest import (
+    decode_json,
     document_from_processed,
     document_to_processed,
     parse_document,
@@ -64,11 +65,8 @@ def load_corpus(path) -> list[Document]:
             raise IoFailure(f"no .json documents under {path}")
     else:
         raw = _read_bytes(path)
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"{path}: not valid JSON") from exc
         with _in_file(path):
+            data = decode_json(raw)
             if isinstance(data, dict) and "documents" in data:
                 if not isinstance(data["documents"], list):
                     raise MalformedInput("documents must be a list")
@@ -77,6 +75,8 @@ def load_corpus(path) -> list[Document]:
                 loaded = [(path, preprocess_document(parse_document(data)))]
     sources: dict[str, Path] = {}
     for source, doc in loaded:
+        with _in_file(source):
+            explicit_parents(doc)  # a bad parent link fails here, naming its file
         if doc.doc_id in sources:
             raise DuplicateId(f"{source}: document {doc.doc_id!r} was already read "
                               f"from {sources[doc.doc_id]}")
@@ -204,12 +204,7 @@ def _cmd_stats(args) -> int:
     if len(inputs) == 1 and inputs[0].is_dir():
         splits = read_dataset(inputs[0])
     else:
-        splits = []
-        for path in inputs:
-            records = read_records_jsonl(path)
-            doc_ids = tuple(sorted({r.doc_id for r in records}))
-            splits.append(DatasetSplit(name=path.stem, records=tuple(records),
-                                       doc_ids=doc_ids))
+        splits = [DatasetSplit.of(path.stem, read_records_jsonl(path)) for path in inputs]
     report = compute_stats(splits)
     if args.out:
         atomic_write_json(args.out, report)
@@ -264,8 +259,6 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_templates(args) -> int:
-    if args.action != "dump":
-        raise ForgeError(f"unknown templates action {args.action!r}")
     payload = load_templates().dump()
     if args.out:
         atomic_write_json(args.out, payload)

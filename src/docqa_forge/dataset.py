@@ -13,9 +13,8 @@ from pathlib import Path
 
 from .errors import BadRatios, IoFailure, SchemaViolation
 from .generator import QARecord
-from .ingest import PAGE_ELEMENT_LIMIT
 from .model import TaskId
-from .programs import TOKEN_ANSWERS, AnswerValue
+from .programs import ANSWER_SPACE, TOKEN_ANSWERS, AnswerValue
 from .templates import SLOT_VALUES, QuestionType, load_templates
 
 SPLIT_NAMES = ("train", "valid", "test")
@@ -25,17 +24,12 @@ SPLIT_NAMES = ("train", "valid", "test")
 # Record (de)serialization
 # ---------------------------------------------------------------------------
 
-def answer_to_json(answer: AnswerValue) -> dict:
-    value = list(answer.value) if answer.kind == "index_set" else answer.value
-    return {"kind": answer.kind, "value": value}
-
-
 @lru_cache(maxsize=1)
 def _fixed_answers() -> tuple[dict[str, AnswerValue], tuple[AnswerValue, ...], AnswerValue]:
     """One shared AnswerValue per fixed token, per page index and for N/A;
     answers are immutable, so every record read may hold the same one."""
     return ({t: AnswerValue.token(t) for t in TOKEN_ANSWERS},
-            tuple(AnswerValue.index(i) for i in range(PAGE_ELEMENT_LIMIT)),
+            tuple(AnswerValue.index(i) for i in ANSWER_SPACE[TaskId.B]["index"]),
             AnswerValue.na())
 
 
@@ -61,20 +55,6 @@ def answer_from_json(data) -> AnswerValue:
     if kind == "na":
         return na
     raise SchemaViolation(f"unknown answer kind {kind!r}")
-
-
-def record_to_json(record: QARecord) -> dict:
-    return {
-        "qid": record.qid,
-        "task": record.task.value,
-        "qtype": record.qtype.value,
-        "doc_id": record.doc_id,
-        "page": record.page_index,
-        "question": record.question,
-        "template_id": record.template_id,
-        "bindings": dict(record.binding),
-        "answer": answer_to_json(record.answer),
-    }
 
 
 @lru_cache(maxsize=1)
@@ -111,8 +91,12 @@ def record_from_json(data) -> QARecord:
     if not isinstance(binding, dict) or binding.keys() != slot_names:
         raise SchemaViolation(f"bindings must be an object naming exactly the slots "
                               f"{sorted(slot_names)} of template {template_id!r} (qid {qid})")
+    answer = answer_from_json(answer)
+    if not answer.in_space_of(task_id):
+        raise SchemaViolation(f"answer {answer.canonical()} is outside the Task {task} "
+                              f"answer space (qid {qid})")
     return QARecord(qid, task_id, qtype_id, doc_id, page, question, template_id, binding,
-                    answer_from_json(answer))
+                    answer)
 
 
 def _json_value(value) -> str:
@@ -125,8 +109,9 @@ def _json_value(value) -> str:
 
 
 def _record_line(r: QARecord) -> str:
-    """json.dumps(record_to_json(r), ensure_ascii=True), built without the dict;
-    tests/test_dataset.py holds the two equal. Binding keys are strings."""
+    """The record as one JSON line, equal to json.dumps(ensure_ascii=True) of
+    its dict (tests/test_dataset.py checks this) but built directly. Binding
+    keys are strings."""
     binding = ", ".join([f"{_quote(k)}: {_json_value(v)}" for k, v in r.binding.items()])
     page = "null" if r.page_index is None else _json_value(r.page_index)
     answer = r.answer
@@ -148,14 +133,20 @@ def jsonl_lines(path, parse) -> list:
     """parse(value) for the value on each nonblank line of a JSONL file, in order.
 
     Raises IoFailure when the file cannot be read, and SchemaViolation naming
-    path:lineno when a line is not one valid JSON value or parse rejects it
-    with a SchemaViolation.
+    path:lineno when a line is not UTF-8, is not one valid JSON value, or
+    parse rejects it with a SchemaViolation.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line of the first bad byte, numbered as splitlines() below numbers it
+        lineno = len((raw[:exc.start].decode("utf-8") + ".").splitlines())
+        raise SchemaViolation(f"{path}:{lineno}: not valid UTF-8") from exc
     scan = json.JSONDecoder().scan_once
     parsed = []
     # The values are trees, freed by reference counting; collector passes over
@@ -166,7 +157,7 @@ def jsonl_lines(path, parse) -> list:
         for lineno, line in enumerate(text.splitlines(), start=1):
             try:
                 data, end = scan(line, 0)
-            except (StopIteration, json.JSONDecodeError, RecursionError):
+            except (StopIteration, ValueError, RecursionError):  # JSONDecodeError is a ValueError
                 end = -1
             if end != len(line):
                 # Not one value spanning the whole line: decode it as
@@ -175,7 +166,7 @@ def jsonl_lines(path, parse) -> list:
                     continue
                 try:
                     data = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as exc:
+                except (ValueError, RecursionError) as exc:
                     raise SchemaViolation(f"{path}:{lineno}: not valid JSON") from exc
             try:
                 parsed.append(parse(data))
@@ -216,6 +207,12 @@ class DatasetSplit:
     records: tuple[QARecord, ...]
     doc_ids: tuple[str, ...]
 
+    @classmethod
+    def of(cls, name: str, records) -> "DatasetSplit":
+        """The split holding records, with the sorted ids of their documents."""
+        records = tuple(records)
+        return cls(name, records, tuple(sorted({r.doc_id for r in records})))
+
 
 def split_corpus(records, ratios, seed: int) -> tuple[DatasetSplit, DatasetSplit, DatasetSplit]:
     """Shuffle documents with the seed and partition them by ratio.
@@ -247,12 +244,8 @@ def split_corpus(records, ratios, seed: int) -> tuple[DatasetSplit, DatasetSplit
             membership[doc_id] = name
         cursor += size
 
-    splits = []
-    for name in SPLIT_NAMES:
-        split_records = tuple(r for r in records if membership[r.doc_id] == name)
-        split_docs = tuple(sorted(d for d, n in membership.items() if n == name))
-        splits.append(DatasetSplit(name=name, records=split_records, doc_ids=split_docs))
-    return tuple(splits)
+    return tuple(DatasetSplit.of(name, (r for r in records if membership[r.doc_id] == name))
+                 for name in SPLIT_NAMES)
 
 
 def write_dataset(splits, out_dir) -> None:
@@ -263,12 +256,8 @@ def write_dataset(splits, out_dir) -> None:
 
 def read_dataset(in_dir) -> tuple[DatasetSplit, ...]:
     in_dir = Path(in_dir)
-    splits = []
-    for name in SPLIT_NAMES:
-        records = read_records_jsonl(in_dir / f"{name}.jsonl")
-        doc_ids = tuple(sorted({r.doc_id for r in records}))
-        splits.append(DatasetSplit(name=name, records=tuple(records), doc_ids=doc_ids))
-    return tuple(splits)
+    return tuple(DatasetSplit.of(name, read_records_jsonl(in_dir / f"{name}.jsonl"))
+                 for name in SPLIT_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +287,17 @@ def anonymized_pattern(record: QARecord) -> str:
     return text
 
 
-def compute_stats(splits, top_words: int = 4, top_patterns: int = 15) -> dict:
+# How many of the most frequent first words and question patterns stats lists.
+TOP_FIRST_WORDS = 4
+TOP_PATTERNS = 15
+
+
+def _most_common(counts: Counter, n: int) -> list[list]:
+    """The n most frequent [item, count] pairs, ties in item order."""
+    return [[item, c] for item, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]]
+
+
+def compute_stats(splits) -> dict:
     """Descriptive statistics over the union of all splits."""
     all_records = [r for split in splits for r in split.records]
     report: dict = {"splits": {}, "tasks": {}}
@@ -336,11 +335,7 @@ def compute_stats(splits, top_words: int = 4, top_patterns: int = 15) -> dict:
                 qtype.value: percentage(qtype_counts.get(qtype.value, 0), questions)
                 for qtype in QuestionType if qtype.task == task
             },
-            "top_first_words": [
-                [w, n] for w, n in sorted(first_words.items(), key=lambda kv: (-kv[1], kv[0]))[:top_words]
-            ],
-            "top_patterns": [
-                [p, n] for p, n in sorted(patterns.items(), key=lambda kv: (-kv[1], kv[0]))[:top_patterns]
-            ],
+            "top_first_words": _most_common(first_words, TOP_FIRST_WORDS),
+            "top_patterns": _most_common(patterns, TOP_PATTERNS),
         }
     return report

@@ -6,15 +6,8 @@ from .dataset import answer_from_json, jsonl_lines
 from .errors import KindMismatch, MissingPrediction, SchemaViolation, UnknownQid
 from .generator import QARecord
 from .model import TaskId
-from .programs import AnswerValue
+from .programs import ANSWER_SPACE, AnswerValue
 from .templates import QuestionType
-
-# Task B/C answers may legitimately be N/A; Task A never is.
-_LEGAL_KINDS = {
-    TaskId.A: {"token"},
-    TaskId.B: {"index", "na"},
-    TaskId.C: {"index_set", "na"},
-}
 
 _QTYPE_HEADERS = {
     QuestionType.EXISTENCE: "Existence",
@@ -51,7 +44,7 @@ def _check_kinds(gold, preds, strict: bool):
             if strict:
                 raise MissingPrediction(f"no prediction for qid {record.qid!r}")
             continue
-        if pred.kind not in _LEGAL_KINDS[record.task]:
+        if pred.kind not in ANSWER_SPACE[record.task]:
             raise KindMismatch(
                 f"qid {record.qid!r}: {pred.kind!r} is not a Task {record.task.value} kind")
     return by_qid
@@ -92,26 +85,29 @@ def _f1_cells(gold: list[QARecord], preds: dict[str, AnswerValue]) -> dict:
     return {"per_class": per_class, "macro_f1": round(macro, 2), "micro_f1": round(micro, 2)}
 
 
+def _task_fragment(gold: list[QARecord], preds: dict[str, AnswerValue], score) -> dict:
+    """The report entries every task shares; score(records) is its metric."""
+    return {
+        "per_qtype": {qtype.value: score([r for r in gold if r.qtype == qtype])
+                      for qtype in sorted({r.qtype for r in gold}, key=lambda q: q.value)},
+        "gold_na": sum(1 for r in gold if r.answer.kind == "na"),
+        "missing_predictions": sum(1 for r in gold if r.qid not in preds),
+        "questions": len(gold),
+    }
+
+
 def score_task_ab(gold: list[QARecord], preds: dict[str, AnswerValue],
                   averaging: str = "macro") -> dict:
     """F1 fragment for one of Tasks A/B; gold records must share the task."""
     cells = _f1_cells(gold, preds)
-    overall = cells["macro_f1"] if averaging == "macro" else cells["micro_f1"]
-    per_qtype = {}
-    for qtype in sorted({r.qtype for r in gold}, key=lambda q: q.value):
-        subset = [r for r in gold if r.qtype == qtype]
-        sub = _f1_cells(subset, preds)
-        per_qtype[qtype.value] = sub["macro_f1"] if averaging == "macro" else sub["micro_f1"]
+    key = "macro_f1" if averaging == "macro" else "micro_f1"
     return {
         "metric": f"{averaging}_f1",
-        "overall": overall,
+        "overall": cells[key],
         "macro_f1": cells["macro_f1"],
         "micro_f1": cells["micro_f1"],
         "per_class": cells["per_class"],
-        "per_qtype": per_qtype,
-        "gold_na": sum(1 for r in gold if r.answer.kind == "na"),
-        "missing_predictions": sum(1 for r in gold if r.qid not in preds),
-        "questions": len(gold),
+        **_task_fragment(gold, preds, lambda records: _f1_cells(records, preds)[key]),
     }
 
 
@@ -126,17 +122,8 @@ def score_task_c(gold: list[QARecord], preds: dict[str, AnswerValue]) -> dict:
         )
         return round(100.0 * correct / len(records), 2)
 
-    per_qtype = {}
-    for qtype in sorted({r.qtype for r in gold}, key=lambda q: q.value):
-        per_qtype[qtype.value] = accuracy([r for r in gold if r.qtype == qtype])
-    return {
-        "metric": "accuracy",
-        "overall": accuracy(gold),
-        "per_qtype": per_qtype,
-        "gold_na": sum(1 for r in gold if r.answer.kind == "na"),
-        "missing_predictions": sum(1 for r in gold if r.qid not in preds),
-        "questions": len(gold),
-    }
+    return {"metric": "accuracy", "overall": accuracy(gold),
+            **_task_fragment(gold, preds, accuracy)}
 
 
 def evaluate(gold: list[QARecord], preds: dict[str, AnswerValue],

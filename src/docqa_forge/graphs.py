@@ -140,21 +140,14 @@ def build_logical_graph(doc: Document) -> LogicalGraph:
     """Build the parent-child forest.
 
     Explicit parent_id fields, when any element carries one, are authoritative
-    and used verbatim after validation. Otherwise section structure is
-    inferred: titles nest by numbering level, body elements attach to the
-    most recent title, captions parent their floats.
+    and used verbatim after validation (explicit_parents). Otherwise section
+    structure is inferred: titles nest by numbering level, body elements
+    attach to the most recent title, captions parent their floats.
     """
     elements = doc.elements_in_doc_order()
     doc_order = {el.id: el.doc_reading_index for el in elements}
-    known = set(doc_order)
-
-    if any(el.parent_id is not None for el in elements):
-        parent_of: dict[str, str | None] = {}
-        for el in elements:
-            if el.parent_id is not None and el.parent_id not in known:
-                raise DanglingParent(f"{el.id!r} references unknown parent {el.parent_id!r}")
-            parent_of[el.id] = el.parent_id
-        _reject_cycles(parent_of)
+    parent_of = explicit_parents(doc)
+    if parent_of is not None:
         return LogicalGraph(doc.doc_id, parent_of, doc_order)
 
     caption_of = _pair_captions(doc)
@@ -177,17 +170,32 @@ def build_logical_graph(doc: Document) -> LogicalGraph:
     return LogicalGraph(doc.doc_id, parent_of, doc_order)
 
 
-def _reject_cycles(parent_of: dict[str, str | None]) -> None:
+def explicit_parents(doc: Document) -> dict[str, str | None] | None:
+    """Element id -> parent_id, or None when no element of doc carries one.
+
+    Raises DanglingParent or CyclicParentInput, naming the document, unless
+    every parent exists and no parent chain loops.
+    """
+    elements = tuple(doc.elements())
+    if all(el.parent_id is None for el in elements):
+        return None
+    parent_of = {el.id: el.parent_id for el in elements}
+    for el in elements:
+        if el.parent_id is not None and el.parent_id not in parent_of:
+            raise DanglingParent(f"document {doc.doc_id!r}: {el.id!r} references "
+                                 f"unknown parent {el.parent_id!r}")
     cleared: set[str] = set()
     for start in parent_of:
         seen: set[str] = set()
         cursor: str | None = start
         while cursor is not None and cursor not in cleared:
             if cursor in seen:
-                raise CyclicParentInput(f"parent chain through {cursor!r} forms a cycle")
+                raise CyclicParentInput(f"document {doc.doc_id!r}: parent chain through "
+                                        f"{cursor!r} forms a cycle")
             seen.add(cursor)
             cursor = parent_of[cursor]
         cleared |= seen
+    return parent_of
 
 
 # ---------------------------------------------------------------------------

@@ -37,19 +37,25 @@ _QUANT = 9
 # Parsing
 # ---------------------------------------------------------------------------
 
+def decode_json(raw: bytes | str):
+    """The JSON value of an annotation or processed-corpus file.
+
+    Raises MalformedInput when raw is not one JSON value in UTF-8 (or a
+    UTF-16/32 encoding json accepts), or is nested too deeply to decode.
+    """
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise MalformedInput(f"not valid JSON: {exc}") from exc
+
+
 def parse_document(raw: bytes | str | dict) -> Document:
     """Parse one annotation-JSON document and normalize its geometry.
 
     Reading indices are left unassigned; categories (including explicit
     caption labels) are taken as given.
     """
-    if isinstance(raw, (bytes, str)):
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"not valid JSON: {exc}") from exc
-    else:
-        data = raw
+    data = decode_json(raw) if isinstance(raw, (bytes, str)) else raw
     if not isinstance(data, dict):
         raise MalformedInput("document must be a JSON object")
 
@@ -326,8 +332,6 @@ class Exclusion:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    task: TaskId
-    doc_id: str
     excluded: tuple[Exclusion, ...]
     eligible_pages: tuple[int, ...]
     document_eligible: bool
@@ -338,15 +342,15 @@ def validate_for_generation(doc: Document, task: TaskId) -> ValidationReport:
     excluded: list[Exclusion] = []
     if doc.element_count == 0:
         excluded.append(Exclusion(doc.doc_id, task.value, "document", None, "no elements"))
-        return ValidationReport(task, doc.doc_id, tuple(excluded), (), False)
+        return ValidationReport(tuple(excluded), (), False)
 
     if task == TaskId.C:
         if doc.element_count > DOC_ELEMENT_LIMIT:
             excluded.append(Exclusion(
                 doc.doc_id, task.value, "document", None,
                 f"{doc.element_count} elements exceed limit {DOC_ELEMENT_LIMIT}"))
-            return ValidationReport(task, doc.doc_id, tuple(excluded), (), False)
-        return ValidationReport(task, doc.doc_id, (), tuple(p.index for p in doc.pages), True)
+            return ValidationReport(tuple(excluded), (), False)
+        return ValidationReport((), tuple(p.index for p in doc.pages), True)
 
     eligible = []
     for page in doc.pages:
@@ -356,7 +360,7 @@ def validate_for_generation(doc: Document, task: TaskId) -> ValidationReport:
                 f"{len(page.elements)} elements exceed limit {PAGE_ELEMENT_LIMIT}"))
         else:
             eligible.append(page.index)
-    return ValidationReport(task, doc.doc_id, tuple(excluded), tuple(eligible), True)
+    return ValidationReport(tuple(excluded), tuple(eligible), True)
 
 
 # ---------------------------------------------------------------------------

@@ -46,18 +46,6 @@ class ElementCategory(str, Enum):
 # Labels a question may name; asking about plain text blocks is not useful.
 QUESTION_LABELS = ("figure", "list", "table", "title")
 
-_LABEL_TO_CATEGORY = {
-    "title": ElementCategory.TITLE,
-    "text": ElementCategory.TEXT,
-    "list": ElementCategory.LIST,
-    "table": ElementCategory.TABLE,
-    "figure": ElementCategory.FIGURE,
-}
-
-
-def category_for_label(label: str) -> ElementCategory:
-    return _LABEL_TO_CATEGORY[label]
-
 
 @dataclass(frozen=True)
 class DocElement:

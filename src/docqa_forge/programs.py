@@ -2,20 +2,21 @@
 
 A program is a straight-line chain; every step has exactly one input and one
 output kind, so a chain type-checks by adjacency. Execution threads a value
-through the steps against a scope's index: element sets are int bitmasks, so
-filters are `&` and counts are popcounts. An unresolvable referent collapses
-the value to NA, which propagates to the final answer.
+through the steps against a scope's lookup tables: element sets are int
+bitmasks, so filters are `&` and counts are popcounts. An unresolvable
+referent collapses the value to NA, which propagates to the final answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import AnchorNotFound, OverflowAnswer, TypeMismatch
 from .geometry import SpatialRelation, in_region
 from .graphs import GraphBundle, SpatialGraph
-from .model import Document, DocElement, ElementCategory, Page, TaskId, category_for_label
+from .ingest import DOC_ELEMENT_LIMIT, PAGE_ELEMENT_LIMIT
+from .model import Document, DocElement, ElementCategory, Page, TaskId
 from .templates import QuestionTemplate, validate_binding
 
 # Value kinds flowing through a chain.
@@ -42,6 +43,14 @@ _FINAL_KINDS = {TaskId.A: (BOOL, INT), TaskId.B: (ELEM,), TaskId.C: (ELEMS,)}
 _CARDINALS = {"top", "bottom", "left", "right"}
 
 TOKEN_ANSWERS = ("yes", "no", "0", "1", "2", "3", "4", "5")
+
+# Each task's answer space: answer kind -> the values it may hold (None: no
+# value). Task B/C answers may legitimately be N/A; Task A never is.
+ANSWER_SPACE = {
+    TaskId.A: {"token": frozenset(TOKEN_ANSWERS)},
+    TaskId.B: {"index": range(PAGE_ELEMENT_LIMIT), "na": None},
+    TaskId.C: {"index_set": range(DOC_ELEMENT_LIMIT), "na": None},
+}
 
 
 @dataclass(frozen=True)
@@ -79,6 +88,16 @@ class AnswerValue:
     @staticmethod
     def na() -> "AnswerValue":
         return AnswerValue("na", None)
+
+    def in_space_of(self, task: TaskId) -> bool:
+        """Whether the answer lies in the task's fixed answer space."""
+        space = ANSWER_SPACE[task]
+        if self.kind not in space:
+            return False
+        legal = space[self.kind]
+        if self.kind == "index_set":  # sorted and nonempty
+            return self.value[0] in legal and self.value[-1] in legal
+        return legal is None or self.value in legal
 
     def canonical(self) -> str:
         if self.kind == "token":
@@ -167,20 +186,25 @@ def compile_program(tpl: QuestionTemplate, binding: dict) -> FunctionalProgram:
 # Scopes
 # ---------------------------------------------------------------------------
 
-class ScopeIndex:
-    """Lookup tables over one scope's elements, built once per scope.
+class Scope:
+    """What a program runs over: one page of doc, or all of doc when page is None.
 
-    An element set is an int bitmask: bit i stands for elements[i], so set
-    order is reading order and the set operations are integer operations.
+    Its lookup tables are built once. An element set is an int bitmask: bit i
+    stands for elements[i], so set order is reading order and the set
+    operations are integer operations.
     """
 
-    def __init__(self, elements: tuple[DocElement, ...]):
-        self.elements = elements
-        self.position = {el.id: i for i, el in enumerate(elements)}
-        self.everything = (1 << len(elements)) - 1
+    def __init__(self, doc: Document, page: Page | None = None):
+        self.doc, self.page = doc, page
+        if page is None:
+            self.elements = doc.elements_in_doc_order()
+        else:
+            self.elements = tuple(sorted(page.elements, key=lambda e: e.page_reading_index))
+        self.position = {el.id: i for i, el in enumerate(self.elements)}
+        self.everything = (1 << len(self.elements)) - 1
         self.category: dict[ElementCategory, int] = {}
         self.titles: dict[str, list[DocElement]] = {}
-        for i, el in enumerate(elements):
+        for i, el in enumerate(self.elements):
             self.category[el.category] = self.category.get(el.category, 0) | 1 << i
             if el.category == ElementCategory.TITLE:
                 self.titles.setdefault(el.text, []).append(el)
@@ -221,33 +245,13 @@ class ScopeIndex:
         return mask
 
 
-@dataclass(frozen=True)
-class PageScope:
-    doc: Document
-    page: Page
-    index: ScopeIndex = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ordered = sorted(self.page.elements, key=lambda e: e.page_reading_index)
-        object.__setattr__(self, "index", ScopeIndex(tuple(ordered)))
-
-
-@dataclass(frozen=True)
-class DocumentScope:
-    doc: Document
-    index: ScopeIndex = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", ScopeIndex(self.doc.elements_in_doc_order()))
-
-
-def scope_for(task: TaskId, doc: Document, page: Page | None = None):
+def scope_for(task: TaskId, doc: Document, page: Page | None = None) -> Scope:
     """The scope a task's programs run in; build it once and reuse it."""
-    if task in (TaskId.A, TaskId.B):
-        if page is None:
-            raise TypeMismatch("page scope required for Tasks A/B")
-        return PageScope(doc, page)
-    return DocumentScope(doc)
+    if task == TaskId.C:
+        return Scope(doc)
+    if page is None:
+        raise TypeMismatch("page scope required for Tasks A/B")
+    return Scope(doc, page)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +282,7 @@ def _described_by(el: DocElement, graphs: GraphBundle,
     return _owning_title(el, graphs, by_id)
 
 
-def execute(prog: FunctionalProgram, scope, graphs: GraphBundle,
+def execute(prog: FunctionalProgram, scope: Scope, graphs: GraphBundle,
             trace: list | None = None) -> AnswerValue:
     """Evaluate the chain left to right and render the task's answer kind.
 
@@ -287,7 +291,7 @@ def execute(prog: FunctionalProgram, scope, graphs: GraphBundle,
     which ends the chain (see trace_steps).
     """
     check_chain(prog.steps, prog.task)
-    value = scope if SIGNATURES[prog.steps[0].op][0] == SCOPE else scope.index.everything
+    value = scope if SIGNATURES[prog.steps[0].op][0] == SCOPE else scope.everything
 
     for step in prog.steps:
         if value is _NA:
@@ -307,25 +311,24 @@ def trace_steps(ops, sizes) -> list[dict]:
             for i, (op, size) in enumerate(zip(ops, sizes))]
 
 
-def _apply(step: Step, value, scope, graphs: GraphBundle):
-    """One step; element sets are masks over scope.index (see ScopeIndex)."""
+def _apply(step: Step, value, scope: Scope, graphs: GraphBundle):
+    """One step; element sets are masks over the scope's elements (see Scope)."""
     op = step.op
-    index: ScopeIndex = scope.index
     if op == "filter_category":
-        return value & index.category.get(category_for_label(step.arg), 0)
+        return value & scope.category.get(ElementCategory(step.arg), 0)
     if op == "filter_region":
-        return value & index.region(step.arg)
+        return value & scope.region(step.arg)
     if op == "locate_text":
-        matches = index.titles.get(step.arg, ())
+        matches = scope.titles.get(step.arg, ())
         if len(matches) != 1:
             raise AnchorNotFound(
                 f"text anchor {step.arg!r} matched {len(matches)} title elements")
         return matches[0]
     if op == "related":
-        if not isinstance(scope, PageScope):
+        if scope.page is None:
             raise TypeMismatch("spatial queries need a page scope")
         graph = graphs.spatial[scope.page.index]
-        return index.related(graph, value.id, step.arg, step.coarse)
+        return scope.related(graph, value.id, step.arg, step.coarse)
     if op == "count":
         return value.bit_count()
     if op == "exists":
@@ -336,31 +339,31 @@ def _apply(step: Step, value, scope, graphs: GraphBundle):
         if not value:
             return _NA
         if step.arg == "first":
-            return index.elements[(value & -value).bit_length() - 1]
+            return scope.elements[(value & -value).bit_length() - 1]
         if step.arg == "last":
-            return index.elements[value.bit_length() - 1]
+            return scope.elements[value.bit_length() - 1]
         # "unique": the referent must be unambiguous
-        return index.elements[value.bit_length() - 1] if value.bit_count() == 1 else _NA
+        return scope.elements[value.bit_length() - 1] if value.bit_count() == 1 else _NA
     if op == "described_by":
         described = _described_by(value, graphs, scope.doc.by_id)
         return _NA if described is None else described
-    if op in ("child_sections", "parent_sections") and not isinstance(scope, DocumentScope):
+    if op in ("child_sections", "parent_sections") and scope.page is not None:
         raise TypeMismatch("section queries need a document scope")
     if op == "child_sections":
         by_id = scope.doc.by_id
         kids = graphs.logical.children(value.id)
-        return index.mask(k for k in kids if by_id[k].category == ElementCategory.TITLE)
+        return scope.mask(k for k in kids if by_id[k].category == ElementCategory.TITLE)
     if op == "parent_sections":
         by_id = scope.doc.by_id
         owners = (_owning_title(by_id[el_id], graphs, by_id)
                   for el_id in scope.doc.mention_index.get(step.arg, ()))
-        return index.mask(owner.id for owner in owners if owner is not None)
+        return scope.mask(owner.id for owner in owners if owner is not None)
     if op == "text_anchor_exists":
-        return step.arg in index.titles
+        return step.arg in scope.titles
     raise TypeMismatch(f"unknown operation {op!r}")
 
 
-def _render(prog: FunctionalProgram, value, scope) -> AnswerValue:
+def _render(prog: FunctionalProgram, value, scope: Scope) -> AnswerValue:
     """The answer for the chain's final value, whose kind check_chain has fixed."""
     if value is _NA:
         return AnswerValue.na()
@@ -378,4 +381,4 @@ def _render(prog: FunctionalProgram, value, scope) -> AnswerValue:
         return AnswerValue.index(value.page_reading_index)
     if not value:
         return AnswerValue.na()
-    return AnswerValue.index_set(el.doc_reading_index for el in scope.index.members(value))
+    return AnswerValue.index_set(el.doc_reading_index for el in scope.members(value))

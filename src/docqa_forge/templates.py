@@ -19,14 +19,7 @@ from .errors import IncompleteBinding, TypeMismatch
 from .geometry import REGION_NAMES, in_region
 from .graphs import GraphBundle
 from .hashing import stable_int
-from .model import (
-    QUESTION_LABELS,
-    Document,
-    ElementCategory,
-    Page,
-    TaskId,
-    category_for_label,
-)
+from .model import QUESTION_LABELS, Document, ElementCategory, Page, TaskId
 
 # Phrasal surfaces for [R] slots; the first entry is the canonical phrase.
 RELATION_PHRASES: dict[str, tuple[str, ...]] = {
@@ -392,47 +385,6 @@ def instantiate(tpl: QuestionTemplate, binding: dict, seed: int, *,
                           binding=dict(binding))
 
 
-def _alternation(options) -> str:
-    return "|".join(re.escape(o) for o in sorted(options, key=len, reverse=True))
-
-
-def _closed_surfaces(slot: SlotSpec) -> dict[str, object]:
-    """Every surface a closed-vocabulary slot can render -> the value it renders."""
-    return {text: value for value in SLOT_VALUES[slot.kind] for text in _renderings(slot, value)}
-
-
-@lru_cache(maxsize=None)
-def _extraction_regex(template_id: str) -> re.Pattern:
-    literals, slots = _pattern_pieces(template_id)
-    pieces = [re.escape(literals[0])]
-    for slot, literal in zip(slots, literals[1:]):
-        group = f"(?P<{slot.name}>%s)"
-        if slot.kind in SLOT_VALUES:
-            body = group % _alternation(_closed_surfaces(slot))
-        elif slot.quoted:
-            body = group % "[^']+"
-            body = f"'{body}'"
-            if slot.article:
-                body = f"(?:an|a) {body}"
-        else:
-            body = group % ".+?"
-        pieces.append(body)
-        pieces.append(re.escape(literal))
-    return re.compile("".join(pieces))
-
-
-def extract_binding(tpl: QuestionTemplate, text: str) -> dict | None:
-    """Recover the binding from a rendered question, or None if it does not match."""
-    m = _extraction_regex(tpl.template_id).fullmatch(text)
-    if m is None:
-        return None
-    binding = {}
-    for slot in tpl.slots:
-        raw = m.group(slot.name)
-        binding[slot.name] = _closed_surfaces(slot)[raw] if slot.kind in SLOT_VALUES else raw
-    return binding
-
-
 # ---------------------------------------------------------------------------
 # Binding enumeration
 # ---------------------------------------------------------------------------
@@ -503,7 +455,7 @@ def enumerate_bindings(tpl: QuestionTemplate, doc: Document,
             if _region_members(page, ElementCategory.TITLE, binding["pos"]) > 1:
                 continue
         elif tpl.group == "b_objrec":
-            cat = category_for_label(binding["E"])
+            cat = ElementCategory(binding["E"])
             if _region_members(page, cat, binding["pos"]) > 1:
                 continue
         out.append(binding)

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
+from reference import balance
 from docqa_forge.balance import (
     BalanceConfig,
-    balance,
     balance_answers,
     balance_parameters,
     balance_report,

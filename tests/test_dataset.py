@@ -7,6 +7,7 @@ import re
 import pytest
 
 from synthcorpus import random_processed_document
+from reference import record_to_json
 from docqa_forge.dataset import (
     DatasetSplit,
     anonymized_pattern,
@@ -16,7 +17,6 @@ from docqa_forge.dataset import (
     read_dataset,
     read_records_jsonl,
     record_from_json,
-    record_to_json,
     split_corpus,
     write_dataset,
     write_records_jsonl,

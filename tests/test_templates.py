@@ -11,10 +11,10 @@ from docqa_forge.programs import GROUP_PROGRAMS
 from docqa_forge.templates import (
     QuestionType,
     enumerate_bindings,
-    extract_binding,
     instantiate,
     load_templates,
 )
+from reference import extract_binding
 
 
 @pytest.fixture(scope="module")
