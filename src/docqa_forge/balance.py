@@ -31,14 +31,12 @@ class BalanceConfig:
             raise ValueError("ratio bounds must be >= 1")
 
 
-def _pattern_of(record: QARecord) -> str:
-    return load_templates().by_id(record.template_id).pattern
-
-
 def _grouped(records):
+    registry = load_templates()
     groups: dict[tuple[str, str], list[QARecord]] = {}
     for record in records:
-        groups.setdefault((record.task.value, _pattern_of(record)), []).append(record)
+        pattern = registry.by_id(record.template_id).pattern
+        groups.setdefault((record.task.value, pattern), []).append(record)
     return groups
 
 

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from .balance import BalanceConfig, balance_answers, balance_parameters, balance_report
@@ -142,11 +143,12 @@ def _cmd_generate(args) -> int:
     corpus = load_corpus(args.input)
     cfg = GenConfig(seed=args.seed, tasks=args.tasks, na_retention=args.na_rate,
                     per_template_cap=args.template_cap)
-    result = generate_corpus(corpus, cfg, max_workers=args.workers)
+    workers = resolve_workers(args.workers)
+    result = generate_corpus(corpus, cfg, max_workers=workers)
     write_records_jsonl(result.records, args.out)
     manifest = {
         "records": str(args.out),
-        "excluded": [e.as_dict() for e in result.excluded],
+        "excluded": [asdict(e) for e in result.excluded],
         "counts": result.counts,
         "seed": result.seed,
         "config_hash": result.config_hash,
@@ -156,7 +158,7 @@ def _cmd_generate(args) -> int:
     if args.trace:
         _write_traces(result.records, args.trace)
     print(f"generated {len(result.records)} records "
-          f"({resolve_workers(args.workers)} workers) -> {args.out}", file=sys.stderr)
+          f"({workers} workers) -> {args.out}", file=sys.stderr)
     return 0
 
 

@@ -55,7 +55,16 @@ class BoundingBox:
         return (dx * dx + dy * dy) ** 0.5
 
 
+# Each page side is a half-page predicate on the box center, as (axis, sign):
+# center[axis] below 0.5 (sign -1) or above it (+1); axis 0 is x, 1 is y (downward).
+_SIDES = {"top": (1, -1), "bottom": (1, 1), "left": (0, -1), "right": (0, 1)}
+_OPPOSITE = {side: other for side, (axis, sign) in _SIDES.items()
+             for other, half in _SIDES.items() if half == (axis, -sign)}
+
+
 class SpatialRelation(str, Enum):
+    """A direction, named by the page sides it points to ("top-left")."""
+
     TOP = "top"
     BOTTOM = "bottom"
     LEFT = "left"
@@ -66,39 +75,19 @@ class SpatialRelation(str, Enum):
     BOTTOM_RIGHT = "bottom-right"
 
     @property
+    def sides(self) -> tuple[str, ...]:
+        return tuple(self.value.split("-"))
+
+    @property
     def inverse(self) -> "SpatialRelation":
-        return _INVERSE[self]
+        return SpatialRelation("-".join(_OPPOSITE[side] for side in self.sides))
 
 
-_INVERSE = {
-    SpatialRelation.TOP: SpatialRelation.BOTTOM,
-    SpatialRelation.BOTTOM: SpatialRelation.TOP,
-    SpatialRelation.LEFT: SpatialRelation.RIGHT,
-    SpatialRelation.RIGHT: SpatialRelation.LEFT,
-    SpatialRelation.TOP_LEFT: SpatialRelation.BOTTOM_RIGHT,
-    SpatialRelation.BOTTOM_RIGHT: SpatialRelation.TOP_LEFT,
-    SpatialRelation.TOP_RIGHT: SpatialRelation.BOTTOM_LEFT,
-    SpatialRelation.BOTTOM_LEFT: SpatialRelation.TOP_RIGHT,
-}
-
-# Coarse directional queries fold the adjacent diagonals into each cardinal.
+# Coarse directional queries admit every relation pointing to all of the
+# query's sides, which folds the adjacent diagonals into each cardinal.
 COARSE_ADMITS = {
-    SpatialRelation.TOP: frozenset(
-        {SpatialRelation.TOP, SpatialRelation.TOP_LEFT, SpatialRelation.TOP_RIGHT}
-    ),
-    SpatialRelation.BOTTOM: frozenset(
-        {SpatialRelation.BOTTOM, SpatialRelation.BOTTOM_LEFT, SpatialRelation.BOTTOM_RIGHT}
-    ),
-    SpatialRelation.LEFT: frozenset(
-        {SpatialRelation.LEFT, SpatialRelation.TOP_LEFT, SpatialRelation.BOTTOM_LEFT}
-    ),
-    SpatialRelation.RIGHT: frozenset(
-        {SpatialRelation.RIGHT, SpatialRelation.TOP_RIGHT, SpatialRelation.BOTTOM_RIGHT}
-    ),
-    SpatialRelation.TOP_LEFT: frozenset({SpatialRelation.TOP_LEFT}),
-    SpatialRelation.TOP_RIGHT: frozenset({SpatialRelation.TOP_RIGHT}),
-    SpatialRelation.BOTTOM_LEFT: frozenset({SpatialRelation.BOTTOM_LEFT}),
-    SpatialRelation.BOTTOM_RIGHT: frozenset({SpatialRelation.BOTTOM_RIGHT}),
+    query: frozenset(r for r in SpatialRelation if set(query.sides) <= set(r.sides))
+    for query in SpatialRelation
 }
 
 
@@ -142,38 +131,18 @@ def spatial_relation(a: BoundingBox, b: BoundingBox) -> SpatialRelation | None:
     return SpatialRelation.BOTTOM_LEFT if dx < 0 else SpatialRelation.BOTTOM_RIGHT
 
 
-REGION_NAMES = (
-    "top",
-    "bottom",
-    "left",
-    "right",
-    "top-left",
-    "top-right",
-    "bottom-left",
-    "bottom-right",
-)
+REGION_NAMES = tuple(r.value for r in SpatialRelation)
 
-# Each region is a conjunction of half-page predicates on the box center.
-# Centers exactly on the 0.5 split line belong to neither half.
-_REGION_HALVES = {
-    "top": (("y", -1),),
-    "bottom": (("y", 1),),
-    "left": (("x", -1),),
-    "right": (("x", 1),),
-    "top-left": (("y", -1), ("x", -1)),
-    "top-right": (("y", -1), ("x", 1)),
-    "bottom-left": (("y", 1), ("x", -1)),
-    "bottom-right": (("y", 1), ("x", 1)),
-}
+# Each region is the conjunction of its sides' half-page predicates on the
+# box center. Centers exactly on the 0.5 split line belong to neither half.
+_REGION_HALVES = {r.value: tuple(_SIDES[side] for side in r.sides) for r in SpatialRelation}
 
 
 def in_region(box: BoundingBox, region: str) -> bool:
     """True when the box center lies in the named page half or quadrant."""
-    cx, cy = box.center
+    center = box.center
     for axis, sign in _REGION_HALVES[region]:
-        c = cx if axis == "x" else cy
-        if sign < 0 and not c < 0.5:
-            return False
-        if sign > 0 and not c > 0.5:
+        c = center[axis]
+        if not (c < 0.5 if sign < 0 else c > 0.5):
             return False
     return True

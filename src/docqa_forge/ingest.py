@@ -276,30 +276,21 @@ _FLOAT_MENTION = re.compile(r"(?<![A-Za-z0-9])(table|figure|fig\.)\s+(\d+)(?![A-
                             re.IGNORECASE)
 
 
-def canonical_float_label(word: str, number: str) -> str:
-    kind = "Table" if word.lower().startswith("t") else "Figure"
-    return f"{kind} {int(number)}"
-
-
-def scan_float_mentions(text: str) -> set[str]:
-    return {canonical_float_label(w, n) for w, n in _FLOAT_MENTION.findall(text)}
-
-
-def mentions_key(text: str, key: str) -> bool:
-    pattern = r"(?<![A-Za-z0-9])" + re.escape(key) + r"(?![A-Za-z0-9])"
-    return re.search(pattern, text) is not None
-
-
 def build_mention_index(doc: Document) -> Document:
-    """Map float labels and citation keys to the Text/List elements naming them."""
+    """Map canonical float labels ("fig. 03" -> "Figure 3") and citation keys
+    to the Text/List elements naming them."""
+    keys = [(key, re.compile(r"(?<![A-Za-z0-9])" + re.escape(key) + r"(?![A-Za-z0-9])"))
+            for key in dict.fromkeys(doc.references)]
     index: dict[str, list[str]] = {}
     for el in doc.elements_in_doc_order():
         if el.category not in (ElementCategory.TEXT, ElementCategory.LIST):
             continue
-        for label in sorted(scan_float_mentions(el.text)):
+        labels = {f"{'Table' if word.lower().startswith('t') else 'Figure'} {int(number)}"
+                  for word, number in _FLOAT_MENTION.findall(el.text)}
+        for label in sorted(labels):
             index.setdefault(label, []).append(el.id)
-        for key in dict.fromkeys(doc.references):
-            if mentions_key(el.text, key):
+        for key, pattern in keys:
+            if pattern.search(el.text):
                 index.setdefault(key, []).append(el.id)
     return replace(doc, mention_index={k: tuple(v) for k, v in sorted(index.items())})
 
@@ -324,10 +315,6 @@ class Exclusion:
     scope: str  # "page" or "document"
     page_index: int | None
     reason: str
-
-    def as_dict(self) -> dict:
-        return {"doc_id": self.doc_id, "task": self.task, "scope": self.scope,
-                "page_index": self.page_index, "reason": self.reason}
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,8 @@ SIGNATURES = {
 
 _FINAL_KINDS = {TaskId.A: (BOOL, INT), TaskId.B: (ELEM,), TaskId.C: (ELEMS,)}
 
-_CARDINALS = {"top", "bottom", "left", "right"}
+# Cardinal relations name one side; only they widen to a coarse query.
+_CARDINALS = {r.value for r in SpatialRelation if len(r.sides) == 1}
 
 TOKEN_ANSWERS = ("yes", "no", "0", "1", "2", "3", "4", "5")
 

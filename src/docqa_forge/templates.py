@@ -13,7 +13,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import IncompleteBinding, TypeMismatch
 from .geometry import REGION_NAMES, in_region
@@ -91,6 +91,14 @@ class QuestionTemplate:
     group: str
     pattern: str
     slots: tuple[SlotSpec, ...]
+
+    @cached_property
+    def pieces(self) -> tuple[tuple[str, ...], tuple[SlotSpec, ...]]:
+        """The pattern split at its slot tokens: n + 1 literals around n slots,
+        the slots in the order their tokens appear."""
+        parts = re.split(r"\[(\w+)\]", self.pattern)
+        slots = {s.name: s for s in self.slots}
+        return tuple(parts[0::2]), tuple(slots[name] for name in parts[1::2])
 
 
 @dataclass(frozen=True)
@@ -330,37 +338,18 @@ def _surface(slot: SlotSpec, value, template_id: str, key: str, seed: int) -> st
     return text
 
 
-def _check_value(slot: SlotSpec, value) -> None:
-    if slot.kind in SLOT_VALUES:
-        ok = value in SLOT_VALUES[slot.kind]
-    else:
-        ok = isinstance(value, str) and bool(value)
-    if not ok:
-        raise TypeMismatch(f"slot [{slot.name}] cannot take value {value!r}")
-
-
 def validate_binding(tpl: QuestionTemplate, binding: dict) -> None:
     """Raise IncompleteBinding / TypeMismatch unless the binding fits the template."""
     for slot in tpl.slots:
         if slot.name not in binding:
             raise IncompleteBinding(f"binding for {tpl.template_id} is missing [{slot.name}]")
-        _check_value(slot, binding[slot.name])
-
-
-@lru_cache(maxsize=None)
-def _pattern_pieces(template_id: str) -> tuple[tuple[str, ...], tuple[SlotSpec, ...]]:
-    """The pattern split at its slot tokens: n + 1 literals around n slots,
-    the slots in the order their tokens appear."""
-    tpl = load_templates().by_id(template_id)
-    pattern = tpl.pattern
-    literals = []
-    cursor = 0
-    token_at = sorted((pattern.index(f"[{s.name}]"), s) for s in tpl.slots)
-    for pos, slot in token_at:
-        literals.append(pattern[cursor:pos])
-        cursor = pos + len(f"[{slot.name}]")
-    literals.append(pattern[cursor:])
-    return tuple(literals), tuple(slot for _, slot in token_at)
+        value = binding[slot.name]
+        if slot.kind in SLOT_VALUES:
+            ok = value in SLOT_VALUES[slot.kind]
+        else:
+            ok = isinstance(value, str) and bool(value)
+        if not ok:
+            raise TypeMismatch(f"slot [{slot.name}] cannot take value {value!r}")
 
 
 def instantiate(tpl: QuestionTemplate, binding: dict, seed: int, *,
@@ -369,14 +358,13 @@ def instantiate(tpl: QuestionTemplate, binding: dict, seed: int, *,
 
     validated=True skips validate_binding for a binding the caller has
     already checked (the generator's compile_program does); key is the
-    binding's canonical_binding, if the caller already has it. The pattern
-    is split once per template_id, so tpl must come from load_templates().
+    binding's canonical_binding, if the caller already has it.
     """
     if not validated:
         validate_binding(tpl, binding)
     if key is None:
         key = canonical_binding(binding)
-    literals, slots = _pattern_pieces(tpl.template_id)
+    literals, slots = tpl.pieces
     parts = [literals[0]]
     for slot, literal in zip(slots, literals[1:]):
         parts.append(_surface(slot, binding[slot.name], tpl.template_id, key, seed))

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from docqa_forge.balance import BalanceConfig, balance_answers, balance_parameters
 from docqa_forge.generator import QARecord
-from docqa_forge.templates import SLOT_VALUES, QuestionTemplate, SlotSpec, _pattern_pieces, _renderings
+from docqa_forge.templates import SLOT_VALUES, QuestionTemplate, SlotSpec, _renderings, load_templates
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +29,7 @@ def _closed_surfaces(slot: SlotSpec) -> dict[str, object]:
 
 @lru_cache(maxsize=None)
 def _extraction_regex(template_id: str) -> re.Pattern:
-    literals, slots = _pattern_pieces(template_id)
+    literals, slots = load_templates().by_id(template_id).pieces
     pieces = [re.escape(literals[0])]
     for slot, literal in zip(slots, literals[1:]):
         group = f"(?P<{slot.name}>%s)"

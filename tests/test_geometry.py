@@ -7,11 +7,13 @@ import pytest
 from docqa_forge.errors import InvalidBBox
 from docqa_forge.geometry import (
     BoundingBox,
+    COARSE_ADMITS,
     REGION_NAMES,
     SpatialRelation,
     in_region,
     spatial_relation,
 )
+from docqa_forge.programs import _CARDINALS
 
 
 def box(x0, y0, x1, y1):
@@ -103,3 +105,84 @@ def test_exclusivity_never_two_relations():
     a = box(0.0, 0.0, 0.5, 0.5)
     b = box(0.25, 0.25, 0.75, 0.75)  # 50% overlap on both axes
     assert spatial_relation(a, b) is None
+
+
+# --- direction tables derived from the relation names ---------------------------
+# The tables below are written out by hand, one entry per relation; the
+# package derives each from the eight relation names and must agree.
+
+LITERAL_REGION_NAMES = (
+    "top", "bottom", "left", "right",
+    "top-left", "top-right", "bottom-left", "bottom-right",
+)
+
+LITERAL_INVERSE = {
+    "top": "bottom", "bottom": "top", "left": "right", "right": "left",
+    "top-left": "bottom-right", "bottom-right": "top-left",
+    "top-right": "bottom-left", "bottom-left": "top-right",
+}
+
+LITERAL_COARSE_ADMITS = {
+    "top": {"top", "top-left", "top-right"},
+    "bottom": {"bottom", "bottom-left", "bottom-right"},
+    "left": {"left", "top-left", "bottom-left"},
+    "right": {"right", "top-right", "bottom-right"},
+    "top-left": {"top-left"},
+    "top-right": {"top-right"},
+    "bottom-left": {"bottom-left"},
+    "bottom-right": {"bottom-right"},
+}
+
+LITERAL_REGION_HALVES = {
+    "top": (("y", -1),),
+    "bottom": (("y", 1),),
+    "left": (("x", -1),),
+    "right": (("x", 1),),
+    "top-left": (("y", -1), ("x", -1)),
+    "top-right": (("y", -1), ("x", 1)),
+    "bottom-left": (("y", 1), ("x", -1)),
+    "bottom-right": (("y", 1), ("x", 1)),
+}
+
+
+def literal_in_region(b: BoundingBox, region: str) -> bool:
+    cx, cy = b.center
+    for axis, sign in LITERAL_REGION_HALVES[region]:
+        c = cx if axis == "x" else cy
+        if sign < 0 and not c < 0.5:
+            return False
+        if sign > 0 and not c > 0.5:
+            return False
+    return True
+
+
+def test_region_names_are_the_relation_names_in_order():
+    assert REGION_NAMES == LITERAL_REGION_NAMES
+    assert tuple(r.value for r in SpatialRelation) == LITERAL_REGION_NAMES
+
+
+def test_inverse_matches_the_literal_table():
+    assert {r.value: r.inverse.value for r in SpatialRelation} == LITERAL_INVERSE
+
+
+def test_coarse_admits_matches_the_literal_table():
+    assert {q.value: {r.value for r in admitted} for q, admitted in COARSE_ADMITS.items()} \
+        == LITERAL_COARSE_ADMITS
+
+
+def test_cardinals_are_the_one_side_relations():
+    assert _CARDINALS == {"top", "bottom", "left", "right"}
+
+
+def test_in_region_matches_the_literal_halves_on_a_grid():
+    # Centers k/16 (0.5 included) plus values just off the split line.
+    coords = [k / 16 for k in range(1, 16)] + [0.5 - 2 ** -30, 0.5 + 2 ** -30]
+    half = 2 ** -6
+    checked = 0
+    for cx in coords:
+        for cy in coords:
+            b = box(cx - half, cy - half, cx + half, cy + half)
+            for region in LITERAL_REGION_NAMES:
+                assert in_region(b, region) == literal_in_region(b, region), (cx, cy, region)
+                checked += 1
+    assert checked == 17 * 17 * 8

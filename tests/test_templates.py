@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import build_document, stack_annotation
@@ -117,6 +119,16 @@ def test_render_task_c_unquoted_anchor(registry):
 def test_render_task_c_quoted_citation(registry):
     q = instantiate(registry.by_id("C12"), {"E": "Wang C et al,2017"}, seed=0)
     assert q.text == "Which section does cite the 'Wang C et al,2017'?"
+
+
+def test_render_uses_the_template_it_is_given(registry):
+    edited = replace(registry.by_id("A12"), pattern="Do you see a [E] here?")
+    assert instantiate(edited, {"E": "table"}, seed=0).text == "Do you see a table here?"
+    unregistered = replace(edited, template_id="A99")
+    q = instantiate(unregistered, {"E": "table"}, seed=0)
+    assert (q.text, q.template_id) == ("Do you see a table here?", "A99")
+    assert instantiate(registry.by_id("A12"), {"E": "table"}, seed=0).text == \
+        "Is there any table?"
 
 
 def test_incomplete_binding_raises(registry):
