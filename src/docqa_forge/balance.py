@@ -14,6 +14,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 
+from .errors import check_range
 from .generator import QARecord
 from .hashing import stable_unit
 from .model import TaskId
@@ -27,8 +28,8 @@ class BalanceConfig:
     param_ratio: float = 2.0
 
     def __post_init__(self):
-        if self.answer_ratio < 1.0 or self.param_ratio < 1.0:
-            raise ValueError("ratio bounds must be >= 1")
+        check_range("answer_ratio", self.answer_ratio, 1)
+        check_range("param_ratio", self.param_ratio, 1)
 
 
 def _grouped(records):

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -21,7 +19,9 @@ from .dataset import (
     DatasetSplit,
     atomic_write_json,
     atomic_write_text,
+    check_ratios,
     compute_stats,
+    read_bytes,
     read_dataset,
     read_records_jsonl,
     split_corpus,
@@ -29,6 +29,7 @@ from .dataset import (
     write_records_jsonl,
 )
 from .errors import (
+    BadParameter,
     DuplicateId,
     ForgeError,
     IoFailure,
@@ -59,13 +60,13 @@ def load_corpus(path) -> list[Document]:
     if path.is_dir():
         loaded = []
         for child in sorted(path.glob("*.json")):
-            raw = _read_bytes(child)
+            raw = read_bytes(child)
             with _in_file(child):
                 loaded.append((child, preprocess_document(parse_document(raw))))
         if not loaded:
             raise IoFailure(f"no .json documents under {path}")
     else:
-        raw = _read_bytes(path)
+        raw = read_bytes(path)
         with _in_file(path):
             data = decode_json(raw)
             if isinstance(data, dict) and "documents" in data:
@@ -85,13 +86,6 @@ def load_corpus(path) -> list[Document]:
     return [doc for _, doc in loaded]
 
 
-def _read_bytes(path: Path) -> bytes:
-    try:
-        return path.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-
-
 @contextmanager
 def _in_file(path: Path):
     """Re-raise a ForgeError with the file name in front, keeping its class."""
@@ -101,34 +95,12 @@ def _in_file(path: Path):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _number(convert, low, high=math.inf):
-    """argparse type for a finite number of the given kind in [low, high]."""
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError as exc:
-            message = f"not a valid {convert.__name__}: {text!r}"
-            raise argparse.ArgumentTypeError(message) from exc
-        if not (math.isfinite(value) and low <= value <= high):
-            bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-            raise argparse.ArgumentTypeError(f"must be {bounds}, got {text!r}")
-        return value
-    return parse
+def _ratios(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(","))
 
 
-def _ratios(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("ratios must be three comma-separated numbers")
-    return tuple(_number(float, 0)(p) for p in parts)
-
-
-def _tasks(text: str):
-    tasks = tuple(t.strip().upper() for t in text.split(",") if t.strip())
-    for t in tasks:
-        if t not in ("A", "B", "C"):
-            raise argparse.ArgumentTypeError(f"unknown task {t!r}")
-    return tasks
+def _tasks(text: str) -> tuple[str, ...]:
+    return tuple(t.strip().upper() for t in text.split(",") if t.strip())
 
 
 def _cmd_ingest(args) -> int:
@@ -140,10 +112,10 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    corpus = load_corpus(args.input)
     cfg = GenConfig(seed=args.seed, tasks=args.tasks, na_retention=args.na_rate,
                     per_template_cap=args.template_cap)
     workers = resolve_workers(args.workers)
+    corpus = load_corpus(args.input)
     result = generate_corpus(corpus, cfg, max_workers=workers)
     write_records_jsonl(result.records, args.out)
     manifest = {
@@ -153,8 +125,7 @@ def _cmd_generate(args) -> int:
         "seed": result.seed,
         "config_hash": result.config_hash,
     }
-    manifest_path = args.manifest or f"{args.out}.manifest.json"
-    atomic_write_json(manifest_path, manifest)
+    atomic_write_json(f"{args.out}.manifest.json", manifest)
     if args.trace:
         _write_traces(result.records, args.trace)
     print(f"generated {len(result.records)} records "
@@ -181,9 +152,9 @@ def _write_traces(records, path) -> None:
 
 
 def _cmd_balance(args) -> int:
-    records = read_records_jsonl(args.input)
     cfg = BalanceConfig(seed=args.seed, answer_ratio=args.answer_ratio,
                         param_ratio=args.param_ratio)
+    records = read_records_jsonl(args.input)
     after = balance_parameters(balance_answers(records, cfg), cfg)
     write_records_jsonl(after, args.out)
     if args.report:
@@ -193,8 +164,9 @@ def _cmd_balance(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    ratios = check_ratios(args.ratios)
     records = read_records_jsonl(args.input)
-    splits = split_corpus(records, args.ratios, args.seed)
+    splits = split_corpus(records, ratios, args.seed)
     write_dataset(splits, args.out_dir)
     sizes = ", ".join(f"{s.name}={len(s.records)}" for s in splits)
     print(f"split {len(records)} records: {sizes}", file=sys.stderr)
@@ -287,13 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tasks", type=_tasks, default=("A", "B", "C"))
-    p.add_argument("--na-rate", type=_number(float, 0, 1), default=0.1)
-    p.add_argument("--template-cap", type=_number(int, 0), default=None)
-    # A string default goes through `type` too, so a bad FORGE_THREADS is a usage error.
-    p.add_argument("--workers", type=_number(int, 0),
-                   default=os.environ.get("FORGE_THREADS") or None,
+    p.add_argument("--na-rate", type=float, default=0.1)
+    p.add_argument("--template-cap", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
                    help="worker count, 0 = auto (default: FORGE_THREADS, else 1)")
-    p.add_argument("--manifest", default=None)
     p.add_argument("--trace", default=None, help="write per-question program traces")
     p.set_defaults(func=_cmd_generate)
 
@@ -301,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--answer-ratio", type=_number(float, 1), default=1.5)
-    p.add_argument("--param-ratio", type=_number(float, 1), default=2.0)
+    p.add_argument("--answer-ratio", type=float, default=1.5)
+    p.add_argument("--param-ratio", type=float, default=2.0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_balance)
 
@@ -343,9 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BadParameter as exc:
+        parser.error(str(exc))  # a usage error, exit 2, as for a flag argparse rejects
     except ForgeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

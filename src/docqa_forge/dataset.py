@@ -6,6 +6,7 @@ import gc
 import json
 import random
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -129,6 +130,13 @@ def write_records_jsonl(records, path) -> None:
     atomic_write_text(Path(path), payload)
 
 
+def read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
 def jsonl_lines(path, parse) -> list:
     """parse(value) for the value on each nonblank line of a JSONL file, in order.
 
@@ -137,10 +145,7 @@ def jsonl_lines(path, parse) -> list:
     parse rejects it with a SchemaViolation.
     """
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    raw = read_bytes(path)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -183,13 +188,14 @@ def read_records_jsonl(path) -> list[QARecord]:
 
 
 def atomic_write_text(path: Path, payload: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         tmp.write_text(payload, encoding="utf-8")
         tmp.replace(path)
     except OSError as exc:
-        tmp.unlink(missing_ok=True)
+        with suppress(OSError):  # e.g. NotADirectoryError when the parent is a file
+            tmp.unlink(missing_ok=True)
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
@@ -214,17 +220,22 @@ class DatasetSplit:
         return cls(name, records, tuple(sorted({r.doc_id for r in records})))
 
 
+def check_ratios(ratios) -> tuple[float, float, float]:
+    """The ratios as a tuple if they are three finite numbers > 0 summing to 1, else BadRatios."""
+    ratios = tuple(ratios)
+    if not (len(ratios) == 3 and all(isinstance(r, (int, float)) and r > 0 for r in ratios)
+            and abs(sum(ratios) - 1.0) <= 1e-9):  # an inf ratio makes the sum inf
+        raise BadRatios(f"ratios must be three finite numbers > 0 summing to 1, got {ratios!r}")
+    return ratios
+
+
 def split_corpus(records, ratios, seed: int) -> tuple[DatasetSplit, DatasetSplit, DatasetSplit]:
     """Shuffle documents with the seed and partition them by ratio.
 
     Quotas use largest-remainder rounding; every record follows its document,
     so no document (and no page) straddles two splits.
     """
-    ratios = tuple(ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise BadRatios(f"need three positive ratios, got {ratios!r}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise BadRatios(f"ratios sum to {sum(ratios)!r}, expected 1")
+    ratios = check_ratios(ratios)
 
     docs = sorted({r.doc_id for r in records})
     rng = random.Random(seed)

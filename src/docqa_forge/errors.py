@@ -1,12 +1,28 @@
-"""Exception hierarchy shared across the pipeline.
+"""Exception hierarchy shared across the pipeline, and the parameter range check.
 
 Every error raised by this package derives from ForgeError so callers
 (and the CLI) can fence off pipeline failures from genuine bugs.
 """
 
+import math
+
 
 class ForgeError(Exception):
     """Base class for all pipeline errors."""
+
+
+class BadParameter(ForgeError, ValueError):
+    """A config field, flag or FORGE_THREADS value is out of range (CLI exit 2)."""
+
+
+def check_range(name: str, value, low: float, high: float = math.inf, kind=float) -> None:
+    """Raise BadParameter unless value is a finite number in [low, high] (an
+    int if kind is int; never a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, kind))
+            or not low <= value <= high or value == math.inf):
+        what = "an integer" if kind is int else "a finite number"
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise BadParameter(f"{name} must be {what} {bounds}, got {value!r}")
 
 
 # --- document ingestion ---------------------------------------------------
@@ -57,8 +73,8 @@ class OverflowAnswer(ForgeError):
 
 # --- dataset io -----------------------------------------------------------
 
-class BadRatios(ForgeError):
-    """Split ratios are not three positive numbers summing to one."""
+class BadRatios(BadParameter):
+    """Split ratios are not three finite numbers > 0 summing to one."""
 
 
 class IoFailure(ForgeError):

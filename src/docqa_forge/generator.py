@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
-from .errors import AnchorNotFound, OverflowAnswer
+from .errors import AnchorNotFound, BadParameter, OverflowAnswer, check_range
 from .graphs import GraphBundle, build_graphs
 from .hashing import stable_hex, stable_unit
 from .ingest import Exclusion, validate_for_generation
@@ -40,12 +40,11 @@ class GenConfig:
     per_template_cap: int | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.na_retention <= 1.0:
-            raise ValueError("na_retention must be in [0, 1]")
-        if self.per_template_cap is not None and self.per_template_cap < 0:
-            raise ValueError("per_template_cap must be >= 0")
-        for t in self.tasks:
-            TaskId(t)
+        if not (self.tasks and set(self.tasks) <= {t.value for t in TaskId}):
+            raise BadParameter(f"tasks must be a nonempty subset of A, B, C, got {self.tasks!r}")
+        check_range("na_retention", self.na_retention, 0, 1)
+        if self.per_template_cap is not None:
+            check_range("per_template_cap", self.per_template_cap, 0, kind=int)
 
     def hash(self) -> str:
         blob = json.dumps({
@@ -182,7 +181,7 @@ def generate_document(doc: Document, graphs: GraphBundle,
     return _generate_scope(registry.for_task(TaskId.C), scope, None, graphs, cfg)
 
 
-def _document_job(args) -> tuple[str, list[QARecord], list[Exclusion]]:
+def _document_job(args) -> tuple[list[QARecord], list[Exclusion]]:
     doc, cfg = args
     registry = load_templates()
     excluded: list[Exclusion] = []
@@ -207,7 +206,7 @@ def _document_job(args) -> tuple[str, list[QARecord], list[Exclusion]]:
         records.extend(generate_page(doc.pages[index], doc, graphs, registry, cfg))
     if c_eligible:
         records.extend(generate_document(doc, graphs, registry, cfg))
-    return doc.doc_id, records, excluded
+    return records, excluded
 
 
 def resolve_workers(explicit: int | None = None) -> int:
@@ -219,8 +218,7 @@ def resolve_workers(explicit: int | None = None) -> int:
             value = int(value)
         except ValueError:
             pass
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{source} must be an integer >= 0, got {value!r}")
+    check_range(source, value, 0, kind=int)
     return value or os.cpu_count() or 1
 
 
@@ -228,17 +226,16 @@ def generate_corpus(corpus, cfg: GenConfig, max_workers: int | None = None) -> G
     """Run generation over every document, merged in doc_id order."""
     docs = sorted(corpus, key=lambda d: d.doc_id)
     workers = resolve_workers(max_workers)
-    jobs = [(doc, cfg) for doc in docs]
+    jobs = [(doc, cfg) for doc in docs]  # outputs keep this doc_id order: map keeps order
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_document_job, jobs))
     else:
         outputs = [_document_job(job) for job in jobs]
-    outputs.sort(key=lambda item: item[0])
 
     records: list[QARecord] = []
     excluded: list[Exclusion] = []
-    for _, doc_records, doc_excluded in outputs:
+    for doc_records, doc_excluded in outputs:
         records.extend(doc_records)
         excluded.extend(doc_excluded)
     return GenerationResult(records=records, excluded=excluded,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import unicodedata
 from dataclasses import dataclass, replace
 
 from .errors import DuplicateId, InvalidBBox, MalformedInput
@@ -285,8 +286,11 @@ def build_mention_index(doc: Document) -> Document:
     for el in doc.elements_in_doc_order():
         if el.category not in (ElementCategory.TEXT, ElementCategory.LIST):
             continue
-        labels = {f"{'Table' if word.lower().startswith('t') else 'Figure'} {int(number)}"
-                  for word, number in _FLOAT_MENTION.findall(el.text)}
+        labels = set()
+        for word, number in _FLOAT_MENTION.findall(el.text):
+            # ASCII digits, no leading zeros ("03", "٣" -> "3"); int() stops at 4,300 digits
+            number = "".join(str(unicodedata.decimal(d)) for d in number).lstrip("0") or "0"
+            labels.add(f"{'Table' if word.lower().startswith('t') else 'Figure'} {number}")
         for label in sorted(labels):
             index.setdefault(label, []).append(el.id)
         for key, pattern in keys:

@@ -105,7 +105,6 @@ class QuestionTemplate:
 class QuestionString:
     text: str
     template_id: str
-    binding: dict
 
 
 def canonical_binding(binding: dict) -> str:
@@ -369,8 +368,7 @@ def instantiate(tpl: QuestionTemplate, binding: dict, seed: int, *,
     for slot, literal in zip(slots, literals[1:]):
         parts.append(_surface(slot, binding[slot.name], tpl.template_id, key, seed))
         parts.append(literal)
-    return QuestionString(text="".join(parts), template_id=tpl.template_id,
-                          binding=dict(binding))
+    return QuestionString(text="".join(parts), template_id=tpl.template_id)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from docqa_forge.balance import (
     balance_report,
     reduction_factor,
 )
+from docqa_forge.errors import BadParameter
 from docqa_forge.generator import QARecord
 from docqa_forge.model import TaskId
 from docqa_forge.programs import AnswerValue
@@ -137,6 +138,13 @@ def test_report_counts():
 def test_bad_ratio_bounds_rejected():
     with pytest.raises(ValueError):
         BalanceConfig(seed=1, answer_ratio=0.5)
+
+
+@pytest.mark.parametrize("field", ["answer_ratio", "param_ratio"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_ratio_rejected_at_construction(field, value):
+    with pytest.raises(BadParameter, match=f"{field} must be a finite number >= 1"):
+        BalanceConfig(seed=1, **{field: value})
 
 
 def test_adversarial_skew_bound():

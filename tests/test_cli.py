@@ -1,12 +1,23 @@
 from __future__ import annotations
 
 import json
+import os
+import shlex
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
 
 import pytest
 
+import docqa_forge
 from conftest import stack_annotation
 from synthcorpus import random_annotation
+from docqa_forge.balance import BalanceConfig
 from docqa_forge.cli import main
+from docqa_forge.dataset import check_ratios
+from docqa_forge.errors import BadParameter
+from docqa_forge.generator import GenConfig, resolve_workers
 
 
 @pytest.fixture
@@ -166,6 +177,56 @@ def test_bad_numeric_flag_is_usage_error(tmp_path, monkeypatch, argv, threads):
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
     assert exc.value.code == 2
+
+
+_GENERATE = "generate --in c --out r.jsonl --seed 1"
+_BALANCE = "balance --in r.jsonl --out b.jsonl --seed 1"
+
+
+@pytest.mark.parametrize("argv, threads, library_call", [
+    *[(f"{_GENERATE} --na-rate {v}", None, partial(GenConfig, 1, na_retention=float(v)))
+      for v in ("1.5", "nan", "inf")],
+    (f"{_GENERATE} --template-cap -1", None, partial(GenConfig, 1, per_template_cap=-1)),
+    (f"{_GENERATE} --workers -3", None, partial(resolve_workers, -3)),
+    (_GENERATE, "-2", resolve_workers),
+    (f"{_GENERATE} --tasks ''", None, partial(GenConfig, 1, tasks=())),
+    (f"{_GENERATE} --tasks A,D", None, partial(GenConfig, 1, tasks=("A", "D"))),
+    *[(f"{_BALANCE} --{flag.replace('_', '-')} {v}", None,
+       partial(BalanceConfig, 1, **{flag: float(v)}))
+      for flag in ("answer_ratio", "param_ratio") for v in ("0.5", "nan", "inf")],
+    *[(f"split --in b.jsonl --out-dir s --seed 1 --ratios {v}", None,
+       partial(check_ratios, tuple(float(r) for r in v.split(","))))
+      for v in ("0.5,0.5", "0.6,0.6,0.1", "0.5,0.5,nan", "0.5,0.5,inf")],
+])
+def test_bad_parameter_flag_reports_the_library_message(tmp_path, monkeypatch, capsys,
+                                                         argv, threads, library_call):
+    monkeypatch.chdir(tmp_path)  # holds no input: each run must stop before reading any
+    if threads is None:
+        monkeypatch.delenv("FORGE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("FORGE_THREADS", threads)
+    with pytest.raises(BadParameter) as expected:
+        library_call()
+    with pytest.raises(SystemExit) as exc:
+        main(shlex.split(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"error: {expected.value}\n" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["templates", "dump", "--out", "t.json"], 0),
+    (["stats", "--in", "missing.jsonl"], 1),
+    (["generate", "--in", "c", "--out", "r.jsonl", "--seed", "1", "--na-rate", "2"], 2),
+])
+def test_module_entry_point_exit_codes(tmp_path, argv, code):
+    src = str(Path(docqa_forge.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "docqa_forge", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_unreadable_corpus_entry_is_io_failure(tmp_path, corpus_dir, capsys):

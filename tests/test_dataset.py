@@ -74,7 +74,8 @@ def test_split_determinism():
 
 
 @pytest.mark.parametrize("ratios", [(0.5, 0.5), (0.5, 0.3, 0.1), (0.8, 0.2, 0.0),
-                                    (0.8, 0.3, -0.1)])
+                                    (0.8, 0.3, -0.1), (0.5, float("nan"), 0.5),
+                                    (0.5, float("inf"), 0.5)])
 def test_bad_ratios_rejected(ratios):
     with pytest.raises(BadRatios):
         split_corpus([rec(0)], ratios, seed=1)

@@ -6,6 +6,7 @@ from conftest import build_document, stack_annotation
 from synthcorpus import random_processed_document
 from docqa_forge import generator as generator_module
 from docqa_forge import graphs as graphs_module
+from docqa_forge.errors import BadParameter
 from docqa_forge.generator import (
     GenConfig,
     count_by_type,
@@ -191,6 +192,17 @@ def test_bad_config_rejected():
         GenConfig(seed=1, tasks=("A", "D"))
     with pytest.raises(ValueError):
         GenConfig(seed=1, per_template_cap=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("per_template_cap", 2.5),
+    ("per_template_cap", True),
+    ("tasks", ()),
+    ("na_retention", float("nan")),
+])
+def test_bad_config_is_bad_parameter_at_construction(field, value):
+    with pytest.raises(BadParameter, match=field):
+        GenConfig(seed=1, **{field: value})
 
 
 @pytest.mark.parametrize("explicit, threads, named", [

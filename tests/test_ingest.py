@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import unicodedata
 
 import pytest
 
@@ -245,6 +246,28 @@ def test_mention_index_canonicalizes_fig_abbreviation():
     ]))
     assert doc.mention_index["Figure 3"] == ("t",)
     assert doc.mention_index["Figure 4"] == ("t",)
+
+
+@pytest.mark.parametrize("text, label", [
+    ("see fig. 03", "Figure 3"),
+    ("see Table \u0663", "Table 3"),  # ARABIC-INDIC DIGIT THREE
+    ("see Table " + "1" * 5000, "Table " + "1" * 5000),  # longer than int() reads
+], ids=["leading-zero", "arabic-indic", "5000-digits"])
+def test_mention_index_canonicalizes_numbers(text, label):
+    doc = build_document(one_page([element("t", "text", [5, 10, 95, 30], text)]))
+    assert doc.mention_index == {label: ("t",)}
+
+
+def test_mention_index_reads_every_decimal_digit_as_int_does():
+    # each Unicode decimal digit after the zero of its own script, e.g. "03"
+    numbers = [chr(c - unicodedata.decimal(chr(c))) + chr(c) for c in range(0x110000)
+               if unicodedata.category(chr(c)) == "Nd"]
+    doc = build_document(one_page([
+        element(f"t{v}", "text", [5, 2 + 9 * v, 95, 9 + 9 * v],
+                " ".join(f"Table {n}" for n in numbers if int(n) == v))
+        for v in range(10)
+    ]))
+    assert doc.mention_index == {f"Table {v}": (f"t{v}",) for v in range(10)}
 
 
 def test_mention_index_citation_keys():

@@ -1,5 +1,6 @@
-"""Bad input bytes, bad gold answers and bad parent links end as a ForgeError
-that names the file, with exit 1, never as a Python exception."""
+"""Bad input bytes, bad gold answers, bad parent links and unwritable output
+paths end as a ForgeError that names the file, with exit 1, never as a Python
+exception."""
 
 from __future__ import annotations
 
@@ -140,3 +141,25 @@ def test_bad_parent_link_names_file_and_document(tmp_path, capsys, workers,
     err = run(["generate", "--in", corpus, "--out", tmp_path / "r.jsonl", "--seed", 1,
                "--workers", workers], capsys)
     assert f"error: {error}: {bad}: document 'bad-doc': " in err and named in err
+
+
+# --- output paths under a regular file --------------------------------------------
+
+@pytest.mark.parametrize("command", ["generate", "split", "ingest", "templates"])
+def test_output_path_under_a_regular_file_is_io_failure(tmp_path, capsys, command):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    corpus = tmp_path / "doc.json"
+    corpus.write_text(json.dumps(stack_annotation("d", [[("title", "Intro"), ("text", "x")]])))
+    records = tmp_path / "r.jsonl"
+    records.write_text(_record(1) + "\n")
+    argv, out = {
+        "generate": (["generate", "--in", corpus, "--out", afile / "raw.jsonl", "--seed", 1],
+                     afile / "raw.jsonl"),
+        "split": (["split", "--in", records, "--out-dir", afile, "--ratios", "0.5,0.25,0.25",
+                   "--seed", 1], afile / "train.jsonl"),
+        "ingest": (["ingest", "--in", corpus, "--out", afile / "x.json"], afile / "x.json"),
+        "templates": (["templates", "dump", "--out", afile / "t.json"], afile / "t.json"),
+    }[command]
+    err = run(argv, capsys)
+    assert f"error: IoFailure: cannot write {out}: " in err
