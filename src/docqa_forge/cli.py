@@ -18,9 +18,10 @@ from .balance import BalanceConfig, balance_answers, balance_parameters, balance
 from .dataset import (
     DatasetSplit,
     atomic_write_json,
-    atomic_write_text,
+    atomic_write_lines,
     check_ratios,
     compute_stats,
+    json_text,
     read_bytes,
     read_dataset,
     read_records_jsonl,
@@ -103,6 +104,14 @@ def _tasks(text: str) -> tuple[str, ...]:
     return tuple(t.strip().upper() for t in text.split(",") if t.strip())
 
 
+def _output_json(data, out) -> None:
+    """Write data to the file out if given, else print the same bytes to stdout."""
+    if out:
+        atomic_write_json(out, data)
+    else:
+        print(json_text(data))
+
+
 def _cmd_ingest(args) -> int:
     corpus = load_corpus(args.input)
     payload = {"documents": [document_to_processed(d) for d in corpus]}
@@ -148,7 +157,7 @@ def _write_traces(records, path) -> None:
         if trace is None:
             trace = traces[key] = json.dumps(trace_steps(ops[r.template_id], r.step_sizes))
         lines.append(f'{{"qid": {json.dumps(r.qid)}, "trace": {trace}}}')
-    atomic_write_text(Path(path), ("\n".join(lines) + "\n") if lines else "")
+    atomic_write_lines(path, lines)
 
 
 def _cmd_balance(args) -> int:
@@ -179,12 +188,7 @@ def _cmd_stats(args) -> int:
         splits = read_dataset(inputs[0])
     else:
         splits = [DatasetSplit.of(path.stem, read_records_jsonl(path)) for path in inputs]
-    report = compute_stats(splits)
-    if args.out:
-        atomic_write_json(args.out, report)
-    else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _output_json(compute_stats(splits), args.out)
     return 0
 
 
@@ -207,14 +211,11 @@ def _cmd_inspect(args) -> int:
     if args.page not in pages:
         raise UnknownPage(f"document {args.doc!r} has no page {args.page}")
     page = pages[args.page]
-    graphs = build_graphs(doc)
+    graphs = build_graphs(doc, [page.index])
     spatial = graphs.spatial[page.index]
 
     if args.format == "json":
-        dump = spatial.dump()
-        dump.update(graphs.logical.dump())
-        json.dump(dump, sys.stdout, indent=2, sort_keys=True)
-        print()
+        print(json_text(spatial.dump() | graphs.logical.dump()))
         return 0
 
     print(f"document {doc.doc_id} page {page.index}: {len(page.elements)} elements")
@@ -233,12 +234,7 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_templates(args) -> int:
-    payload = load_templates().dump()
-    if args.out:
-        atomic_write_json(args.out, payload)
-    else:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+    _output_json(load_templates().dump(), args.out)
     return 0
 
 

@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import BadRatios, IoFailure, SchemaViolation
-from .generator import QARecord
+from .generator import QARecord, count_by_type
 from .model import TaskId
 from .programs import ANSWER_SPACE, TOKEN_ANSWERS, AnswerValue
 from .templates import SLOT_VALUES, QuestionType, load_templates
@@ -125,9 +125,7 @@ def _record_line(r: QARecord) -> str:
 
 
 def write_records_jsonl(records, path) -> None:
-    lines = [_record_line(r) for r in records]
-    payload = ("\n".join(lines) + "\n") if lines else ""
-    atomic_write_text(Path(path), payload)
+    atomic_write_lines(path, (_record_line(r) for r in records))
 
 
 def read_bytes(path: Path) -> bytes:
@@ -160,19 +158,16 @@ def jsonl_lines(path, parse) -> list:
     gc.disable()
     try:
         for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            # Spaces and tabs are the only JSON whitespace a split line can hold.
+            line = line.strip(" \t")
             try:
                 data, end = scan(line, 0)
-            except (StopIteration, ValueError, RecursionError):  # JSONDecodeError is a ValueError
-                end = -1
-            if end != len(line):
-                # Not one value spanning the whole line: decode it as
-                # json.loads does (surrounding whitespace allowed) or reject it.
-                if not line.strip():
-                    continue
-                try:
-                    data = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise SchemaViolation(f"{path}:{lineno}: not valid JSON") from exc
+                if end != len(line):
+                    raise ValueError("extra data after the value")
+            except (StopIteration, ValueError, RecursionError) as exc:
+                raise SchemaViolation(f"{path}:{lineno}: not valid JSON") from exc
             try:
                 parsed.append(parse(data))
             except SchemaViolation as exc:
@@ -187,11 +182,17 @@ def read_records_jsonl(path) -> list[QARecord]:
     return jsonl_lines(path, record_from_json)
 
 
-def atomic_write_text(path: Path, payload: str) -> None:
+def atomic_write_lines(path, lines) -> None:
+    """Write each string in lines, and a newline after it, to a temporary file
+    that then replaces path, so readers see the old file or the whole new one."""
+    path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(payload, encoding="utf-8")
+        with tmp.open("w", encoding="utf-8") as out:
+            for line in lines:
+                out.write(line)
+                out.write("\n")
         tmp.replace(path)
     except OSError as exc:
         with suppress(OSError):  # e.g. NotADirectoryError when the parent is a file
@@ -199,8 +200,13 @@ def atomic_write_text(path: Path, payload: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def json_text(data) -> str:
+    """The one JSON layout of reports and metadata, on stdout as in files."""
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
 def atomic_write_json(path, data) -> None:
-    atomic_write_text(Path(path), json.dumps(data, indent=2, sort_keys=True) + "\n")
+    atomic_write_lines(path, [json_text(data)])
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +317,7 @@ def _most_common(counts: Counter, n: int) -> list[list]:
 def compute_stats(splits) -> dict:
     """Descriptive statistics over the union of all splits."""
     all_records = [r for split in splits for r in split.records]
+    qtype_counts = count_by_type(all_records)
     report: dict = {"splits": {}, "tasks": {}}
     for split in splits:
         report["splits"][split.name] = {
@@ -328,7 +335,6 @@ def compute_stats(splits) -> dict:
         lengths = [len(r.question.split()) for r in records]
         question_counts = Counter(r.question for r in records)
         unique_once = sum(1 for n in question_counts.values() if n == 1)
-        qtype_counts = Counter(r.qtype.value for r in records)
         first_words = Counter(r.question.split()[0] for r in records if r.question.split())
         patterns = Counter(anonymized_pattern(r) for r in records)
 
@@ -338,14 +344,9 @@ def compute_stats(splits) -> dict:
             "avg_questions_per_image": questions_per_image(questions, images),
             "avg_question_length": round(sum(lengths) / len(lengths), 2) if lengths else 0.0,
             "unique_question_pct": percentage(unique_once, questions),
-            "qtype_counts": {
-                qtype.value: qtype_counts.get(qtype.value, 0)
-                for qtype in QuestionType if qtype.task == task
-            },
-            "qtype_percentages": {
-                qtype.value: percentage(qtype_counts.get(qtype.value, 0), questions)
-                for qtype in QuestionType if qtype.task == task
-            },
+            "qtype_counts": qtype_counts[task.value],
+            "qtype_percentages": {qtype: percentage(n, questions)
+                                  for qtype, n in qtype_counts[task.value].items()},
             "top_first_words": _most_common(first_words, TOP_FIRST_WORDS),
             "top_patterns": _most_common(patterns, TOP_PATTERNS),
         }

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .dataset import answer_from_json, jsonl_lines
-from .errors import KindMismatch, MissingPrediction, SchemaViolation, UnknownQid
+from .errors import BadParameter, KindMismatch, MissingPrediction, SchemaViolation, UnknownQid
 from .generator import QARecord
 from .model import TaskId
 from .programs import ANSWER_SPACE, AnswerValue
@@ -98,7 +98,10 @@ def _task_fragment(gold: list[QARecord], preds: dict[str, AnswerValue], score) -
 
 def score_task_ab(gold: list[QARecord], preds: dict[str, AnswerValue],
                   averaging: str = "macro") -> dict:
-    """F1 fragment for one of Tasks A/B; gold records must share the task."""
+    """F1 fragment for one of Tasks A/B; gold records must share the task.
+    averaging is "macro" or "micro", else BadParameter."""
+    if averaging not in ("macro", "micro"):
+        raise BadParameter(f"averaging must be 'macro' or 'micro', got {averaging!r}")
     cells = _f1_cells(gold, preds)
     key = "macro_f1" if averaging == "macro" else "micro_f1"
     return {

@@ -98,7 +98,7 @@ def make_qid(doc_id: str, page_index: int | None, template_id: str, binding: dic
     return stable_hex("qid", doc_id, page_part, template_id, key)
 
 
-def _evaluate_group(tpl, scope, page: Page | None, graphs) -> list[tuple]:
+def _evaluate_group(tpl, scope, graphs) -> list[tuple]:
     """(binding, canonical key, answer, step sizes) for every binding of tpl's
     group in one scope; answer is None where every template of the group drops it.
 
@@ -106,7 +106,7 @@ def _evaluate_group(tpl, scope, page: Page | None, graphs) -> list[tuple]:
     GROUP_PROGRAMS), so any of them gives the same bindings and answers.
     """
     rows = []
-    for binding in enumerate_bindings(tpl, scope.doc, page, graphs):
+    for binding in enumerate_bindings(tpl, scope.doc, scope.page, graphs):
         program = compile_program(tpl, binding)  # validates the binding, once
         sizes: list = []
         try:
@@ -134,18 +134,17 @@ def _cap_rows(rows, cfg: GenConfig, doc_id: str, page_index, template_id: str):
     return [row for row in rows if row[1] in keep]
 
 
-def _generate_scope(templates, scope, page: Page | None, graphs,
-                    cfg: GenConfig) -> list[QARecord]:
+def _generate_scope(templates, scope, graphs, cfg: GenConfig) -> list[QARecord]:
     """Records of templates in one scope, in registry order; each template
     group's bindings and answers are computed once, by its first template."""
     doc_id = scope.doc.doc_id
-    page_index = None if page is None else page.index
+    page_index = None if scope.page is None else scope.page.index
     evaluated: dict[str, list[tuple]] = {}
     records = []
     for tpl in templates:
         rows = evaluated.get(tpl.group)
         if rows is None:
-            rows = evaluated[tpl.group] = _evaluate_group(tpl, scope, page, graphs)
+            rows = evaluated[tpl.group] = _evaluate_group(tpl, scope, graphs)
         for binding, key, answer, sizes in _cap_rows(rows, cfg, doc_id, page_index,
                                                       tpl.template_id):
             if answer is None:
@@ -168,7 +167,7 @@ def generate_page(page: Page, doc: Document, graphs: GraphBundle,
     for task in (TaskId.A, TaskId.B):
         if task.value in cfg.tasks:
             scope = scope_for(task, doc, page)
-            records.extend(_generate_scope(registry.for_task(task), scope, page, graphs, cfg))
+            records.extend(_generate_scope(registry.for_task(task), scope, graphs, cfg))
     return records
 
 
@@ -178,33 +177,27 @@ def generate_document(doc: Document, graphs: GraphBundle,
     if TaskId.C.value not in cfg.tasks:
         return []
     scope = scope_for(TaskId.C, doc)
-    return _generate_scope(registry.for_task(TaskId.C), scope, None, graphs, cfg)
+    return _generate_scope(registry.for_task(TaskId.C), scope, graphs, cfg)
 
 
 def _document_job(args) -> tuple[list[QARecord], list[Exclusion]]:
     doc, cfg = args
     registry = load_templates()
     excluded: list[Exclusion] = []
-    ab_pages: tuple[int, ...] = ()
-    for task_value in ("A", "B"):
-        if task_value not in cfg.tasks:
-            continue
-        report = validate_for_generation(doc, TaskId(task_value))
-        excluded.extend(report.excluded)
-        if report.document_eligible:
-            ab_pages = report.eligible_pages  # the same pages for A and B
-    c_eligible = False
-    if TaskId.C.value in cfg.tasks:
-        report = validate_for_generation(doc, TaskId.C)
-        excluded.extend(report.excluded)
-        c_eligible = report.document_eligible
-
-    # Only A/B read spatial graphs, so only their pages get one.
+    eligible: dict[TaskId, tuple[int, ...]] = {}
+    for task in TaskId:
+        if task.value in cfg.tasks:
+            report = validate_for_generation(doc, task)
+            excluded.extend(report.excluded)
+            if report.document_eligible:
+                eligible[task] = report.eligible_pages
+    # A and B accept the same pages; only their pages get a spatial graph.
+    ab_pages = eligible.get(TaskId.A, eligible.get(TaskId.B, ()))
     graphs = build_graphs(doc, ab_pages)
     records: list[QARecord] = []
     for index in ab_pages:
         records.extend(generate_page(doc.pages[index], doc, graphs, registry, cfg))
-    if c_eligible:
+    if TaskId.C in eligible:
         records.extend(generate_document(doc, graphs, registry, cfg))
     return records, excluded
 

@@ -115,7 +115,7 @@ def _parse_element(raw, page_index: int, width: float, height: float) -> DocElem
     if not isinstance(el_id, str) or not el_id:
         raise MalformedInput(f"page {page_index}: element id must be a nonempty string")
     category = raw.get("category")
-    if category not in _CATEGORY_VALUES:
+    if not isinstance(category, str) or category not in _CATEGORY_VALUES:
         raise MalformedInput(f"element {el_id!r}: unknown category {category!r}")
     bbox_raw = raw.get("bbox")
     if (not isinstance(bbox_raw, list) or len(bbox_raw) != 4

@@ -141,15 +141,13 @@ GROUP_PROGRAMS: dict[str, tuple[tuple[str, tuple | None], ...]] = {
 }
 
 
-def check_chain(steps: tuple[Step, ...], task: TaskId) -> None:
-    """Raise TypeMismatch unless adjacent signatures compose into a legal answer."""
-    _check_ops(tuple(step.op for step in steps), task)
-
-
 @lru_cache(maxsize=None)
-def _check_ops(ops: tuple[str, ...], task: TaskId) -> None:
-    # Legality depends only on the op sequence, so each template group's
-    # chain is checked once; a failure raises and is never cached.
+def check_chain(ops: tuple[str, ...], task: TaskId) -> None:
+    """Raise TypeMismatch unless adjacent signatures compose into a legal answer.
+
+    Legality depends only on the op sequence, so each template group's chain
+    is checked once; a failure raises and is never cached.
+    """
     if not ops:
         raise TypeMismatch("empty program")
     for op in ops:
@@ -168,7 +166,8 @@ def _check_ops(ops: tuple[str, ...], task: TaskId) -> None:
 
 
 def compile_program(tpl: QuestionTemplate, binding: dict) -> FunctionalProgram:
-    """Substitute binding constants into the template's chain and type-check it."""
+    """Validate the binding and substitute its constants into the template's
+    chain; execute type-checks the chain."""
     validate_binding(tpl, binding)
     schema = GROUP_PROGRAMS[tpl.group]
     steps = []
@@ -179,7 +178,6 @@ def compile_program(tpl: QuestionTemplate, binding: dict) -> FunctionalProgram:
             arg = binding[key] if mode == "slot" else key
         coarse = op == "related" and arg in _CARDINALS
         steps.append(Step(op=op, arg=arg, coarse=coarse))
-    check_chain(tuple(steps), tpl.task)
     return FunctionalProgram(steps=tuple(steps), task=tpl.task)
 
 
@@ -291,7 +289,7 @@ def execute(prog: FunctionalProgram, scope: Scope, graphs: GraphBundle,
     count of a set, 1 for any other value, None where the value became NA,
     which ends the chain (see trace_steps).
     """
-    check_chain(prog.steps, prog.task)
+    check_chain(tuple(step.op for step in prog.steps), prog.task)
     value = scope if SIGNATURES[prog.steps[0].op][0] == SCOPE else scope.everything
 
     for step in prog.steps:
@@ -313,7 +311,8 @@ def trace_steps(ops, sizes) -> list[dict]:
 
 
 def _apply(step: Step, value, scope: Scope, graphs: GraphBundle):
-    """One step; element sets are masks over the scope's elements (see Scope)."""
+    """One step of a chain check_chain accepted, so op is one of SIGNATURES;
+    element sets are masks over the scope's elements (see Scope)."""
     op = step.op
     if op == "filter_category":
         return value & scope.category.get(ElementCategory(step.arg), 0)
@@ -361,7 +360,6 @@ def _apply(step: Step, value, scope: Scope, graphs: GraphBundle):
         return scope.mask(owner.id for owner in owners if owner is not None)
     if op == "text_anchor_exists":
         return step.arg in scope.titles
-    raise TypeMismatch(f"unknown operation {op!r}")
 
 
 def _render(prog: FunctionalProgram, value, scope: Scope) -> AnswerValue:

@@ -124,151 +124,112 @@ _POS = SlotSpec("pos", "position")
 _NUM = SlotSpec("num", "num")
 _TURN = SlotSpec("turn", "turn")
 
-_ROWS: tuple[tuple[str, QuestionType, str, str, tuple[SlotSpec, ...]], ...] = (
+# Each template group's question type: a group fixes its templates' task,
+# question type, slots and program (see programs.GROUP_PROGRAMS).
+_GROUP_QTYPES: dict[str, QuestionType] = {
+    **dict.fromkeys(("exist_pos", "exist_pos_neg", "exist_rel", "exist_rel_neg",
+                     "exist_bare", "exist_title"), QuestionType.EXISTENCE),
+    **dict.fromkeys(("count_rel", "count_verify", "count_bare"), QuestionType.COUNTING),
+    **dict.fromkeys(("b_turn", "b_pos"), QuestionType.STRUCTURAL_UNDERSTANDING),
+    "b_objrec": QuestionType.OBJECT_RECOGNITION,
+    "c_child": QuestionType.CHILD_RELATION,
+    **dict.fromkeys(("c_parent_float", "c_parent_cite"), QuestionType.PARENT_RELATION),
+}
+
+# (template_id, group, pattern, slots)
+_ROWS: tuple[tuple[str, str, str, tuple[SlotSpec, ...]], ...] = (
     # --- Task A: existence -------------------------------------------------
-    ("A01", QuestionType.EXISTENCE, "exist_pos",
-     "Is there any [E] on the [pos] of this page?", (_E("label"), _POS)),
-    ("A02", QuestionType.EXISTENCE, "exist_pos",
-     "Can you find any [E] on the [pos] of this page?", (_E("label"), _POS)),
-    ("A03", QuestionType.EXISTENCE, "exist_pos",
-     "On the [pos] of this page, is there a [E]?", (_E("label"), _POS)),
-    ("A04", QuestionType.EXISTENCE, "exist_pos_neg",
-     "Is it correct that there is no [E] at the [pos]?", (_E("label"), _POS)),
-    ("A05", QuestionType.EXISTENCE, "exist_pos",
-     "When you check the [pos] of this page, can you find any [E]?",
+    ("A01", "exist_pos", "Is there any [E] on the [pos] of this page?", (_E("label"), _POS)),
+    ("A02", "exist_pos", "Can you find any [E] on the [pos] of this page?", (_E("label"), _POS)),
+    ("A03", "exist_pos", "On the [pos] of this page, is there a [E]?", (_E("label"), _POS)),
+    ("A04", "exist_pos_neg", "Is it correct that there is no [E] at the [pos]?",
      (_E("label"), _POS)),
-    ("A06", QuestionType.EXISTENCE, "exist_rel",
-     "Are there any [E1] are [R] the [E2]?", (_E1(plural=True), _R, _E2)),
-    ("A07", QuestionType.EXISTENCE, "exist_rel",
-     "Can you find any [E1] [R] the [E2]?", (_E1(), _R, _E2)),
-    ("A08", QuestionType.EXISTENCE, "exist_rel",
-     "Is there a [E1] found [R] the [E2]?", (_E1(), _R, _E2)),
-    ("A09", QuestionType.EXISTENCE, "exist_rel_neg",
-     "Is it correct that there is no [E1] [R] the [E2]?", (_E1(), _R, _E2)),
-    ("A10", QuestionType.EXISTENCE, "exist_rel",
-     "Confirm if there are any [E1] [R] the [E2]?", (_E1(plural=True), _R, _E2)),
-    ("A11", QuestionType.EXISTENCE, "exist_rel",
-     "When you check the page, is there any [E1] [R] the [E2]?", (_E1(), _R, _E2)),
-    ("A12", QuestionType.EXISTENCE, "exist_bare",
-     "Is there any [E]?", (_E("label"),)),
-    ("A13", QuestionType.EXISTENCE, "exist_bare",
-     "Are there any [E] on this page?", (_E("label", plural=True),)),
-    ("A14", QuestionType.EXISTENCE, "exist_bare",
-     "Is there a [E] in this page?", (_E("label"),)),
-    ("A15", QuestionType.EXISTENCE, "exist_bare",
-     "Can you find a [E] on this page?", (_E("label"),)),
-    ("A16", QuestionType.EXISTENCE, "exist_bare",
-     "When you check this page, can you find any [E]?", (_E("label"),)),
-    ("A17", QuestionType.EXISTENCE, "exist_title",
-     "Is there a [E] on this page?", (_E("doc_title_text", quoted=True),)),
-    ("A18", QuestionType.EXISTENCE, "exist_title",
-     "Can you find a [E] on this page?", (_E("doc_title_text", quoted=True),)),
-    ("A19", QuestionType.EXISTENCE, "exist_title",
-     "Does this page include a [E]?", (_E("doc_title_text", quoted=True),)),
-    ("A20", QuestionType.EXISTENCE, "exist_title",
-     "Can [E] be found on this page?", (_E("doc_title_text", quoted=True),)),
-    ("A21", QuestionType.EXISTENCE, "exist_title",
-     "When you check this page, can you find [E]?",
+    ("A05", "exist_pos", "When you check the [pos] of this page, can you find any [E]?",
+     (_E("label"), _POS)),
+    ("A06", "exist_rel", "Are there any [E1] are [R] the [E2]?", (_E1(plural=True), _R, _E2)),
+    ("A07", "exist_rel", "Can you find any [E1] [R] the [E2]?", (_E1(), _R, _E2)),
+    ("A08", "exist_rel", "Is there a [E1] found [R] the [E2]?", (_E1(), _R, _E2)),
+    ("A09", "exist_rel_neg", "Is it correct that there is no [E1] [R] the [E2]?", (_E1(), _R, _E2)),
+    ("A10", "exist_rel", "Confirm if there are any [E1] [R] the [E2]?",
+     (_E1(plural=True), _R, _E2)),
+    ("A11", "exist_rel", "When you check the page, is there any [E1] [R] the [E2]?",
+     (_E1(), _R, _E2)),
+    ("A12", "exist_bare", "Is there any [E]?", (_E("label"),)),
+    ("A13", "exist_bare", "Are there any [E] on this page?", (_E("label", plural=True),)),
+    ("A14", "exist_bare", "Is there a [E] in this page?", (_E("label"),)),
+    ("A15", "exist_bare", "Can you find a [E] on this page?", (_E("label"),)),
+    ("A16", "exist_bare", "When you check this page, can you find any [E]?", (_E("label"),)),
+    ("A17", "exist_title", "Is there a [E] on this page?", (_E("doc_title_text", quoted=True),)),
+    ("A18", "exist_title", "Can you find a [E] on this page?",
      (_E("doc_title_text", quoted=True),)),
-    ("A22", QuestionType.EXISTENCE, "exist_title",
-     "Confirm if there is [E] on this page.",
+    ("A19", "exist_title", "Does this page include a [E]?", (_E("doc_title_text", quoted=True),)),
+    ("A20", "exist_title", "Can [E] be found on this page?", (_E("doc_title_text", quoted=True),)),
+    ("A21", "exist_title", "When you check this page, can you find [E]?",
+     (_E("doc_title_text", quoted=True),)),
+    ("A22", "exist_title", "Confirm if there is [E] on this page.",
      (_E("doc_title_text", quoted=True, article=True),)),
     # --- Task A: counting ---------------------------------------------------
-    ("A23", QuestionType.COUNTING, "count_rel",
-     "How many [E1] are [R] the [E2]?", (_E1(plural=True), _R, _E2)),
-    ("A24", QuestionType.COUNTING, "count_rel",
-     "What is the number of [E1] [R] the [E2]?", (_E1(plural=True), _R, _E2)),
-    ("A25", QuestionType.COUNTING, "count_rel",
-     "How many [E1] can you find on the [R] of [E2]?", (_E1(plural=True), _RW, _E2)),
-    ("A26", QuestionType.COUNTING, "count_rel",
-     "Count the number of [E1] on the [R] of [E2].", (_E1(plural=True), _RW, _E2)),
-    ("A27", QuestionType.COUNTING, "count_rel",
-     "When you check this page, how many [E1] can you find on the [R] of [E2]?",
+    ("A23", "count_rel", "How many [E1] are [R] the [E2]?", (_E1(plural=True), _R, _E2)),
+    ("A24", "count_rel", "What is the number of [E1] [R] the [E2]?", (_E1(plural=True), _R, _E2)),
+    ("A25", "count_rel", "How many [E1] can you find on the [R] of [E2]?",
      (_E1(plural=True), _RW, _E2)),
-    ("A28", QuestionType.COUNTING, "count_verify",
-     "Can you find [num] [E](s) on the page?", (_NUM, _E("label"))),
-    ("A29", QuestionType.COUNTING, "count_verify",
-     "Does this page include [num] [E](s)", (_NUM, _E("label"))),
-    ("A30", QuestionType.COUNTING, "count_verify",
-     "Confirm if there are [num] [E](s) on this page.", (_NUM, _E("label"))),
-    ("A31", QuestionType.COUNTING, "count_verify",
-     "Are there [num] [E](s) on this page?", (_NUM, _E("label"))),
-    ("A32", QuestionType.COUNTING, "count_verify",
-     "Is there only [num] [E](s) on this page?", (_NUM, _E("label"))),
-    ("A33", QuestionType.COUNTING, "count_bare",
-     "How many [E]s on this page?", (_E("label"),)),
-    ("A34", QuestionType.COUNTING, "count_bare",
-     "When you check this page, how many [E]s are on this page?", (_E("label"),)),
-    ("A35", QuestionType.COUNTING, "count_bare",
-     "What is the number of [E]s on this page?", (_E("label"),)),
-    ("A36", QuestionType.COUNTING, "count_bare",
-     "How many [E]s can be found on this page?", (_E("label"),)),
+    ("A26", "count_rel", "Count the number of [E1] on the [R] of [E2].",
+     (_E1(plural=True), _RW, _E2)),
+    ("A27", "count_rel", "When you check this page, how many [E1] can you find on the [R] of [E2]?",
+     (_E1(plural=True), _RW, _E2)),
+    ("A28", "count_verify", "Can you find [num] [E](s) on the page?", (_NUM, _E("label"))),
+    ("A29", "count_verify", "Does this page include [num] [E](s)", (_NUM, _E("label"))),
+    ("A30", "count_verify", "Confirm if there are [num] [E](s) on this page.", (_NUM, _E("label"))),
+    ("A31", "count_verify", "Are there [num] [E](s) on this page?", (_NUM, _E("label"))),
+    ("A32", "count_verify", "Is there only [num] [E](s) on this page?", (_NUM, _E("label"))),
+    ("A33", "count_bare", "How many [E]s on this page?", (_E("label"),)),
+    ("A34", "count_bare", "When you check this page, how many [E]s are on this page?",
+     (_E("label"),)),
+    ("A35", "count_bare", "What is the number of [E]s on this page?", (_E("label"),)),
+    ("A36", "count_bare", "How many [E]s can be found on this page?", (_E("label"),)),
     # --- Task B: structural understanding -----------------------------------
-    ("B01", QuestionType.STRUCTURAL_UNDERSTANDING, "b_turn",
-     "What is the [turn] section in this page?", (_TURN,)),
-    ("B02", QuestionType.STRUCTURAL_UNDERSTANDING, "b_turn",
-     "Can you describe the [turn] section of this page?", (_TURN,)),
-    ("B03", QuestionType.STRUCTURAL_UNDERSTANDING, "b_turn",
-     "What does the [turn] section include in this page?", (_TURN,)),
-    ("B04", QuestionType.STRUCTURAL_UNDERSTANDING, "b_turn",
-     "What is the main contents of the [turn] section in this page?", (_TURN,)),
-    ("B05", QuestionType.STRUCTURAL_UNDERSTANDING, "b_turn",
-     "When you check the [turn] section of this page, what information can you get?",
-     (_TURN,)),
-    ("B06", QuestionType.STRUCTURAL_UNDERSTANDING, "b_pos",
-     "What is the [pos] section about?", (_POS,)),
-    ("B07", QuestionType.STRUCTURAL_UNDERSTANDING, "b_pos",
-     "What is the [pos] of the page about?", (_POS,)),
-    ("B08", QuestionType.STRUCTURAL_UNDERSTANDING, "b_pos",
-     "What is the topic of [pos] section?", (_POS,)),
-    ("B09", QuestionType.STRUCTURAL_UNDERSTANDING, "b_pos",
-     "Can you describe the main topic of the [pos] section?", (_POS,)),
-    ("B10", QuestionType.STRUCTURAL_UNDERSTANDING, "b_pos",
-     "When you check the [pos] of this page, what information can you get?", (_POS,)),
+    ("B01", "b_turn", "What is the [turn] section in this page?", (_TURN,)),
+    ("B02", "b_turn", "Can you describe the [turn] section of this page?", (_TURN,)),
+    ("B03", "b_turn", "What does the [turn] section include in this page?", (_TURN,)),
+    ("B04", "b_turn", "What is the main contents of the [turn] section in this page?", (_TURN,)),
+    ("B05", "b_turn",
+     "When you check the [turn] section of this page, what information can you get?", (_TURN,)),
+    ("B06", "b_pos", "What is the [pos] section about?", (_POS,)),
+    ("B07", "b_pos", "What is the [pos] of the page about?", (_POS,)),
+    ("B08", "b_pos", "What is the topic of [pos] section?", (_POS,)),
+    ("B09", "b_pos", "Can you describe the main topic of the [pos] section?", (_POS,)),
+    ("B10", "b_pos", "When you check the [pos] of this page, what information can you get?",
+     (_POS,)),
     # --- Task B: object recognition ------------------------------------------
-    ("B11", QuestionType.OBJECT_RECOGNITION, "b_objrec",
-     "What is the [E] on the [pos] of the page?", (_E("label"), _POS)),
-    ("B12", QuestionType.OBJECT_RECOGNITION, "b_objrec",
-     "What is the [pos] [E] about?", (_E("label"), _POS)),
-    ("B13", QuestionType.OBJECT_RECOGNITION, "b_objrec",
-     "Can you describe the [E] on the [pos] of the page?", (_E("label"), _POS)),
-    ("B14", QuestionType.OBJECT_RECOGNITION, "b_objrec",
-     "What information does the [pos] [E] contain?", (_E("label"), _POS)),
-    ("B15", QuestionType.OBJECT_RECOGNITION, "b_objrec",
-     "When you check the [pos] [E], what information can you get?",
+    ("B11", "b_objrec", "What is the [E] on the [pos] of the page?", (_E("label"), _POS)),
+    ("B12", "b_objrec", "What is the [pos] [E] about?", (_E("label"), _POS)),
+    ("B13", "b_objrec", "Can you describe the [E] on the [pos] of the page?", (_E("label"), _POS)),
+    ("B14", "b_objrec", "What information does the [pos] [E] contain?", (_E("label"), _POS)),
+    ("B15", "b_objrec", "When you check the [pos] [E], what information can you get?",
      (_E("label"), _POS)),
     # --- Task C: child relation ----------------------------------------------
-    ("C01", QuestionType.CHILD_RELATION, "c_child",
-     "What does the [E] include?", (_E("doc_title_anchor"),)),
-    ("C02", QuestionType.CHILD_RELATION, "c_child",
-     "What is the [E] about?", (_E("doc_title_anchor"),)),
-    ("C03", QuestionType.CHILD_RELATION, "c_child",
-     "What subsections are in the [E]?", (_E("doc_title_anchor"),)),
-    ("C04", QuestionType.CHILD_RELATION, "c_child",
-     "What subsections can be found in the [E]?", (_E("doc_title_anchor"),)),
-    ("C05", QuestionType.CHILD_RELATION, "c_child",
-     "When you check the [E], which subsections are included?", (_E("doc_title_anchor"),)),
+    ("C01", "c_child", "What does the [E] include?", (_E("doc_title_anchor"),)),
+    ("C02", "c_child", "What is the [E] about?", (_E("doc_title_anchor"),)),
+    ("C03", "c_child", "What subsections are in the [E]?", (_E("doc_title_anchor"),)),
+    ("C04", "c_child", "What subsections can be found in the [E]?", (_E("doc_title_anchor"),)),
+    ("C05", "c_child", "When you check the [E], which subsections are included?",
+     (_E("doc_title_anchor"),)),
     # --- Task C: parent relation ----------------------------------------------
-    ("C06", QuestionType.PARENT_RELATION, "c_parent_float",
-     "Which section does describe the [E] ?", (_E("float_label"),)),
-    ("C07", QuestionType.PARENT_RELATION, "c_parent_float",
-     "Which section does include the description of the [E]?", (_E("float_label"),)),
-    ("C08", QuestionType.PARENT_RELATION, "c_parent_float",
-     "Name out the section that include the [E].", (_E("float_label"),)),
-    ("C09", QuestionType.PARENT_RELATION, "c_parent_float",
-     "Where can you find the [E]?", (_E("float_label"),)),
-    ("C10", QuestionType.PARENT_RELATION, "c_parent_float",
+    ("C06", "c_parent_float", "Which section does describe the [E] ?", (_E("float_label"),)),
+    ("C07", "c_parent_float", "Which section does include the description of the [E]?",
+     (_E("float_label"),)),
+    ("C08", "c_parent_float", "Name out the section that include the [E].", (_E("float_label"),)),
+    ("C09", "c_parent_float", "Where can you find the [E]?", (_E("float_label"),)),
+    ("C10", "c_parent_float",
      "When you search for the description of [E], which sections do you need to check?",
      (_E("float_label"),)),
-    ("C11", QuestionType.PARENT_RELATION, "c_parent_cite",
-     "Which section does include the [E]?", (_E("cite_key", quoted=True),)),
-    ("C12", QuestionType.PARENT_RELATION, "c_parent_cite",
-     "Which section does cite the [E]?", (_E("cite_key", quoted=True),)),
-    ("C13", QuestionType.PARENT_RELATION, "c_parent_cite",
-     "Where is the [E] cited in the document?", (_E("cite_key", quoted=True),)),
-    ("C14", QuestionType.PARENT_RELATION, "c_parent_cite",
-     "Where can [E] be found in the document?", (_E("cite_key", quoted=True),)),
-    ("C15", QuestionType.PARENT_RELATION, "c_parent_cite",
+    ("C11", "c_parent_cite", "Which section does include the [E]?", (_E("cite_key", quoted=True),)),
+    ("C12", "c_parent_cite", "Which section does cite the [E]?", (_E("cite_key", quoted=True),)),
+    ("C13", "c_parent_cite", "Where is the [E] cited in the document?",
+     (_E("cite_key", quoted=True),)),
+    ("C14", "c_parent_cite", "Where can [E] be found in the document?",
+     (_E("cite_key", quoted=True),)),
+    ("C15", "c_parent_cite",
      "When you search for the citation of [E], which sections can you find it?",
      (_E("cite_key", quoted=True),)),
 )
@@ -302,9 +263,9 @@ class TemplateRegistry:
 @lru_cache(maxsize=1)
 def load_templates() -> TemplateRegistry:
     templates = tuple(
-        QuestionTemplate(template_id=tid, task=qtype.task, qtype=qtype,
-                         group=group, pattern=pattern, slots=slots)
-        for tid, qtype, group, pattern, slots in _ROWS
+        QuestionTemplate(template_id=tid, task=_GROUP_QTYPES[group].task,
+                         qtype=_GROUP_QTYPES[group], group=group, pattern=pattern, slots=slots)
+        for tid, group, pattern, slots in _ROWS
     )
     return TemplateRegistry(templates)
 

@@ -405,3 +405,38 @@ def test_bad_prediction_is_named_in_the_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert f"error: SchemaViolation: {pred}:2: unknown answer kind 'wibble'" in err
+
+
+@pytest.mark.parametrize("command", ["templates", "stats"])
+def test_stdout_equals_the_out_file_bytes(tmp_path, corpus_dir, capsys, command):
+    argv = ["templates", "dump"]
+    if command == "stats":
+        raw = tmp_path / "raw.jsonl"
+        assert main(["generate", "--in", str(corpus_dir), "--out", str(raw), "--seed", "7"]) == 0
+        argv = ["stats", "--in", str(raw)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert printed.encode("utf-8") == out.read_bytes()
+
+
+def test_inspect_builds_the_spatial_graph_of_one_page(tmp_path, monkeypatch, capsys):
+    import docqa_forge.graphs as graphs_module
+    corpus = tmp_path / "doc.json"
+    corpus.write_text(json.dumps(stack_annotation(
+        "three", [[("title", f"{i}. Part"), ("text", "body")] for i in range(3)])))
+    built = []
+    real = graphs_module.build_spatial_graph
+
+    def counted(page):
+        built.append(page.index)
+        return real(page)
+    monkeypatch.setattr(graphs_module, "build_spatial_graph", counted)
+
+    for fmt in ("text", "json"):
+        assert main(["inspect", "--in", str(corpus), "--doc", "three", "--page", "1",
+                     "--format", fmt]) == 0
+    assert "1. Part" in capsys.readouterr().out
+    assert built == [1, 1]

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from docqa_forge.errors import KindMismatch, MissingPrediction, UnknownQid
+from docqa_forge.errors import BadParameter, KindMismatch, MissingPrediction, UnknownQid
 from docqa_forge.evaluate import breakdown, evaluate, score_task_ab, score_task_c
 from docqa_forge.generator import QARecord
 from docqa_forge.model import TaskId
@@ -182,3 +182,12 @@ def test_breakdown_cells_match_filtered_recomputation():
         subset = [r for r in a_gold if r.qtype == qtype]
         fragment = score_task_ab(subset, preds)
         assert report["tasks"]["A"]["per_qtype"][qtype.value] == fragment["macro_f1"]
+
+
+@pytest.mark.parametrize("averaging", ["Macro", "weighted", ""])
+def test_unknown_averaging_is_a_bad_parameter(averaging):
+    gold = mixed_gold()
+    with pytest.raises(BadParameter, match="averaging"):
+        score_task_ab([r for r in gold if r.task == TaskId.A], perfect_preds(gold), averaging)
+    with pytest.raises(BadParameter, match="averaging"):
+        evaluate(gold, perfect_preds(gold), averaging=averaging)

@@ -66,6 +66,8 @@ def test_parse_rejects_duplicate_ids():
     lambda d: d["pages"][0]["elements"][0].update(category="banner"),
     lambda d: d["pages"][0]["elements"][0].update(bbox=[1, 2, 3]),
     lambda d: d["pages"][0]["elements"][0].update(text=42),
+    lambda d: d["pages"][0]["elements"][0].update(category=["title"]),
+    lambda d: d["pages"][0]["elements"][0].update(category={"title": 1}),
 ])
 def test_parse_rejects_schema_violations(mutation):
     data = one_page([element("e1", "title", [10, 5, 90, 10])])

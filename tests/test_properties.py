@@ -1,0 +1,117 @@
+"""Property tests of the input layer: annotation and processed documents, JSONL lines."""
+
+from __future__ import annotations
+
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from synthcorpus import random_processed_document
+from docqa_forge.dataset import jsonl_lines
+from docqa_forge.errors import ForgeError, SchemaViolation
+from docqa_forge.ingest import (
+    document_from_processed,
+    document_to_processed,
+    parse_document,
+    preprocess_document,
+)
+from docqa_forge.model import Document, ElementCategory
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+# Two levels of nesting: the documents below nest these further. (st.recursive
+# draws are slow enough to dominate the tests' time.)
+JSON_VALUES = _SCALARS | st.lists(_SCALARS, max_size=3) | st.dictionaries(
+    st.text(max_size=4), _SCALARS | st.lists(_SCALARS, max_size=2), max_size=3)
+
+
+_CATEGORIES = [c.value for c in ElementCategory]
+_TEXTS = ["", "Results", "1. Results", "Table 1", "Table 1 lists it", "see Wang 2017"]
+
+
+def _slots(container):
+    """(container, key) of every value nested in container."""
+    stack = [container]
+    while stack:
+        container = stack.pop()
+        for key in (container if isinstance(container, dict) else range(len(container))):
+            yield container, key
+            if isinstance(container[key], (dict, list)):
+                stack.append(container[key])
+
+
+@st.composite
+def _documents(draw):
+    """A processed document, which is also an annotation document, with up to
+    three of its values replaced by arbitrary JSON or removed."""
+    pages, count = [], 0
+    for index in range(draw(st.integers(0, 3))):
+        elements = []
+        for position in range(draw(st.integers(0, 4))):
+            x, y = draw(st.integers(0, 80)), draw(st.floats(0, 80))
+            elements.append({
+                "id": f"e{count}", "category": draw(st.sampled_from(_CATEGORIES)),
+                "bbox": [x, y, x + draw(st.integers(1, 20)), y + 5],
+                "text": draw(st.sampled_from(_TEXTS)),
+                "parent_id": draw(st.none() | st.sampled_from([f"e{count - 1}", "e0"])),
+                "page_reading_index": position, "doc_reading_index": count})
+            count += 1
+        pages.append({"index": index, "width": 100, "height": 100, "elements": elements})
+    references = draw(st.lists(st.sampled_from(["Wang 2017", "Li 2019"]), max_size=2))
+    data = {"doc_id": "d", "references": references, "pages": pages,
+            "mention_index": {label: [f"e{i}" for i in range(min(count, 2))]
+                              for label in ["Table 1", *references]}}
+    document = {"root": data}
+    for _ in range(draw(st.integers(0, 3))):
+        container, key = draw(st.sampled_from(list(_slots(document))))
+        if container is not document and isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(JSON_VALUES)
+    return document["root"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents())
+def test_any_json_document_loads_or_raises_a_forge_error(data):
+    for load in (lambda d: preprocess_document(parse_document(d)), document_from_processed):
+        try:
+            assert isinstance(load(data), Document)
+        except ForgeError:
+            pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_processed_documents_round_trip_through_json(seed):
+    doc = random_processed_document(seed)
+    assert document_from_processed(json.loads(json.dumps(document_to_processed(doc)))) == doc
+
+
+# Characters at which str.splitlines() ends a line, and padding that is JSON
+# whitespace (space, tab) or only str.strip() whitespace.
+_LINE_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+_PADDING = st.text(alphabet=" \t\u3000\xa0\ufeff", max_size=3)
+_PIECE = st.one_of(
+    st.tuples(_PADDING, JSON_VALUES.map(json.dumps), _PADDING).map("".join),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+_TEXT = st.lists(st.tuples(_PIECE, st.sampled_from(_LINE_BREAKS)).map("".join),
+                 max_size=4).map("".join)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_TEXT)
+def test_jsonl_line_is_accepted_exactly_when_json_loads_accepts_it(tmp_path, text):
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = [json.loads(line) for line in text.splitlines() if line.strip()]
+    except (ValueError, RecursionError):
+        expected = None
+    try:
+        got = jsonl_lines(path, lambda value: value)
+    except SchemaViolation:
+        got = None
+    assert json.dumps(got) == json.dumps(expected)  # NaN equals itself here
