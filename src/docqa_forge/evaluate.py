@@ -19,14 +19,18 @@ _QTYPE_HEADERS = {
 }
 
 
-def _prediction_from_json(data) -> tuple[str, AnswerValue]:
+def _add_prediction(preds: dict[str, AnswerValue], data) -> None:
     if not isinstance(data, dict) or not isinstance(data.get("qid"), str):
         raise SchemaViolation("prediction needs a qid")
-    return data["qid"], answer_from_json(data.get("answer"))
+    if data["qid"] in preds:
+        raise SchemaViolation(f"duplicate prediction for qid {data['qid']!r}")
+    preds[data["qid"]] = answer_from_json(data.get("answer"))
 
 
 def read_predictions_jsonl(path) -> dict[str, AnswerValue]:
-    return dict(jsonl_lines(path, _prediction_from_json))
+    preds: dict[str, AnswerValue] = {}
+    jsonl_lines(path, lambda data: _add_prediction(preds, data))
+    return preds
 
 
 def _check_kinds(gold, preds, strict: bool):

@@ -7,29 +7,26 @@ number of workers and merged back in doc_id order without changing a byte.
 
 from __future__ import annotations
 
+import itertools
 import json
-import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
-from .errors import AnchorNotFound, BadParameter, OverflowAnswer, check_range
-from .graphs import GraphBundle, build_graphs
+from .errors import BadParameter, OverflowAnswer, check_range
+from .graphs import build_graphs
 from .hashing import stable_hex, stable_unit
 from .ingest import Exclusion, validate_for_generation
-from .model import Document, Page, TaskId
+from .model import Document, TaskId
 from .programs import AnswerValue, compile_program, execute, scope_for
 from .templates import (
     QuestionType,
-    TemplateRegistry,
     canonical_binding,
     enumerate_bindings,
     instantiate,
     load_templates,
 )
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -113,9 +110,6 @@ def _evaluate_group(tpl, scope, graphs) -> list[tuple]:
             answer = execute(program, scope, graphs, sizes)
         except OverflowAnswer:
             answer = None
-        except AnchorNotFound as exc:
-            logger.debug("skipping group %s on %s: %s", tpl.group, scope.doc.doc_id, exc)
-            answer = None
         if answer is not None and answer.kind == "na" and tpl.task != TaskId.B:
             answer = None  # only Task B keeps unanswerable questions
         rows.append((binding, canonical_binding(binding), answer, tuple(sizes)))
@@ -160,28 +154,12 @@ def _generate_scope(templates, scope, graphs, cfg: GenConfig) -> list[QARecord]:
     return records
 
 
-def generate_page(page: Page, doc: Document, graphs: GraphBundle,
-                  registry: TemplateRegistry, cfg: GenConfig) -> list[QARecord]:
-    """All Task A/B records for one validated page, in canonical order."""
-    records = []
-    for task in (TaskId.A, TaskId.B):
-        if task.value in cfg.tasks:
-            scope = scope_for(task, doc, page)
-            records.extend(_generate_scope(registry.for_task(task), scope, graphs, cfg))
-    return records
+def generate_document(doc: Document, cfg: GenConfig) -> tuple[list[QARecord], list[Exclusion]]:
+    """One document's records, in canonical order, and its exclusions.
 
-
-def generate_document(doc: Document, graphs: GraphBundle,
-                      registry: TemplateRegistry, cfg: GenConfig) -> list[QARecord]:
-    """All Task C records for one validated document."""
-    if TaskId.C.value not in cfg.tasks:
-        return []
-    scope = scope_for(TaskId.C, doc)
-    return _generate_scope(registry.for_task(TaskId.C), scope, graphs, cfg)
-
-
-def _document_job(args) -> tuple[list[QARecord], list[Exclusion]]:
-    doc, cfg = args
+    Each requested task is validated first. Tasks A and B then run on every
+    eligible page, A before B on each page, and Task C runs on the document.
+    """
     registry = load_templates()
     excluded: list[Exclusion] = []
     eligible: dict[TaskId, tuple[int, ...]] = {}
@@ -194,11 +172,14 @@ def _document_job(args) -> tuple[list[QARecord], list[Exclusion]]:
     # A and B accept the same pages; only their pages get a spatial graph.
     ab_pages = eligible.get(TaskId.A, eligible.get(TaskId.B, ()))
     graphs = build_graphs(doc, ab_pages)
-    records: list[QARecord] = []
-    for index in ab_pages:
-        records.extend(generate_page(doc.pages[index], doc, graphs, registry, cfg))
+    scopes = [(task, doc.pages[index]) for index in ab_pages
+              for task in (TaskId.A, TaskId.B) if task in eligible]
     if TaskId.C in eligible:
-        records.extend(generate_document(doc, graphs, registry, cfg))
+        scopes.append((TaskId.C, None))
+    records: list[QARecord] = []
+    for task, page in scopes:
+        scope = scope_for(task, doc, page)
+        records.extend(_generate_scope(registry.for_task(task), scope, graphs, cfg))
     return records, excluded
 
 
@@ -219,12 +200,12 @@ def generate_corpus(corpus, cfg: GenConfig, max_workers: int | None = None) -> G
     """Run generation over every document, merged in doc_id order."""
     docs = sorted(corpus, key=lambda d: d.doc_id)
     workers = resolve_workers(max_workers)
-    jobs = [(doc, cfg) for doc in docs]  # outputs keep this doc_id order: map keeps order
-    if workers > 1 and len(jobs) > 1:
+    # map keeps the order of docs, so outputs stay in doc_id order
+    if workers > 1 and len(docs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_document_job, jobs))
+            outputs = list(pool.map(generate_document, docs, itertools.repeat(cfg)))
     else:
-        outputs = [_document_job(job) for job in jobs]
+        outputs = [generate_document(doc, cfg) for doc in docs]
 
     records: list[QARecord] = []
     excluded: list[Exclusion] = []

@@ -1,10 +1,15 @@
-"""The package exports exactly the library API that README documents."""
+"""The package exports exactly the library API that README documents, and
+every module attribute README names exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import docqa_forge
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,3 +23,16 @@ def test_package_exports_are_the_readme_library_block():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert len(documented) == 11
     assert exported == documented
+
+
+def test_readme_module_references_resolve():
+    readme = (ROOT / "README.md").read_text()
+    modules = {info.name for info in pkgutil.iter_modules(docqa_forge.__path__)}
+    # `module.attr` in backticks, and `from docqa_forge.module import a, b`
+    named = {(module, attr) for module, attr in re.findall(r"`(\w+)\.(\w+)", readme)
+             if module in modules}
+    for module, attrs in re.findall(r"from docqa_forge\.(\w+) import ([\w, ]+)", readme):
+        named |= {(module, attr.strip()) for attr in attrs.split(",") if attr.strip()}
+    missing = [f"{module}.{attr}" for module, attr in sorted(named)
+               if not hasattr(importlib.import_module(f"docqa_forge.{module}"), attr)]
+    assert named and missing == []

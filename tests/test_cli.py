@@ -407,6 +407,18 @@ def test_bad_prediction_is_named_in_the_error(tmp_path, capsys):
     assert f"error: SchemaViolation: {pred}:2: unknown answer kind 'wibble'" in err
 
 
+def test_duplicate_prediction_qid_is_named_in_the_error(tmp_path, capsys):
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text(_a01_line(1) + "\n" + _a01_line(2) + "\n")
+    pred.write_text("".join(
+        json.dumps({"qid": qid, "answer": {"kind": "token", "value": value}}) + "\n"
+        for qid, value in (("q1", "yes"), ("q2", "yes"), ("q1", "no"))))
+    code = main(["eval", "--gold", str(gold), "--pred", str(pred)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: SchemaViolation: {pred}:3: duplicate prediction for qid 'q1'" in err
+
+
 @pytest.mark.parametrize("command", ["templates", "stats"])
 def test_stdout_equals_the_out_file_bytes(tmp_path, corpus_dir, capsys, command):
     argv = ["templates", "dump"]

@@ -12,7 +12,6 @@ from docqa_forge.generator import (
     count_by_type,
     generate_corpus,
     generate_document,
-    generate_page,
     make_qid,
     resolve_workers,
 )
@@ -25,9 +24,14 @@ from docqa_forge.templates import canonical_binding, enumerate_bindings, load_te
 REG = load_templates()
 
 
+def _page_records(page, doc, cfg):
+    """The records generate_document gives for one page."""
+    return [r for r in generate_document(doc, cfg)[0] if r.page_index == page.index]
+
+
 def test_existence_no_record_present(p1_doc):
     cfg = GenConfig(seed=7, tasks=("A",))
-    records = generate_page(p1_doc.pages[0], p1_doc, build_graphs(p1_doc), REG, cfg)
+    records = _page_records(p1_doc.pages[0], p1_doc, cfg)
     hits = [r for r in records
             if r.template_id == "A01" and r.binding == {"E": "figure", "pos": "top"}]
     assert len(hits) == 1
@@ -38,7 +42,7 @@ def test_records_sorted_canonically_within_template(p1_doc):
     from docqa_forge.templates import canonical_binding
 
     cfg = GenConfig(seed=7, tasks=("A",))
-    records = generate_page(p1_doc.pages[0], p1_doc, build_graphs(p1_doc), REG, cfg)
+    records = _page_records(p1_doc.pages[0], p1_doc, cfg)
     per_template: dict[str, list[str]] = {}
     for r in records:
         per_template.setdefault(r.template_id, []).append(canonical_binding(r.binding))
@@ -49,7 +53,7 @@ def test_records_sorted_canonically_within_template(p1_doc):
 def test_overflow_questions_dropped():
     doc = build_document(stack_annotation("d", [[("figure", "")] * 7 + [("text", "x")]]))
     cfg = GenConfig(seed=7, tasks=("A",))
-    records = generate_page(doc.pages[0], doc, build_graphs(doc), REG, cfg)
+    records = _page_records(doc.pages[0], doc, cfg)
     bare_counts = [r for r in records if r.template_id == "A33"]
     labels = {r.binding["E"] for r in bare_counts}
     assert "figure" not in labels  # 7 figures exceed the answer space
@@ -126,7 +130,7 @@ def test_flat_document_has_no_child_records():
         ("title", "Conclusion"),
         ("text", "b"),
     ]]))
-    records = generate_document(doc, build_graphs(doc), REG, GenConfig(seed=7))
+    records = generate_document(doc, GenConfig(seed=7, tasks=("C",)))[0]
     assert all(r.qtype.value != "child_relation" for r in records)
 
 
@@ -136,17 +140,16 @@ def test_unmentioned_reference_emits_nothing():
         ("text", "no citations at all"),
     ]], references=["Ghost X et al,2000"])
     doc = build_document(annotation)
-    records = generate_document(doc, build_graphs(doc), REG, GenConfig(seed=7))
+    records = generate_document(doc, GenConfig(seed=7, tasks=("C",)))[0]
     assert all("Ghost" not in str(r.binding) for r in records)
 
 
 def test_na_retention_rates(hierarchy_doc):
-    graphs = build_graphs(hierarchy_doc)
     page = hierarchy_doc.pages[1]
-    keep_all = generate_page(page, hierarchy_doc, graphs, REG,
-                             GenConfig(seed=7, tasks=("B",), na_retention=1.0))
-    keep_none = generate_page(page, hierarchy_doc, graphs, REG,
-                              GenConfig(seed=7, tasks=("B",), na_retention=0.0))
+    keep_all = _page_records(page, hierarchy_doc,
+                            GenConfig(seed=7, tasks=("B",), na_retention=1.0))
+    keep_none = _page_records(page, hierarchy_doc,
+                             GenConfig(seed=7, tasks=("B",), na_retention=0.0))
     nas_all = [r for r in keep_all if r.answer.kind == "na"]
     nas_none = [r for r in keep_none if r.answer.kind == "na"]
     assert nas_all and not nas_none
@@ -288,7 +291,7 @@ def test_per_template_cap_ranks_each_template_of_a_group(hierarchy_doc):
     cap = 2
     cfg = GenConfig(seed=7, tasks=("A",), per_template_cap=cap)
     page = hierarchy_doc.pages[0]
-    records = generate_page(page, hierarchy_doc, build_graphs(hierarchy_doc), REG, cfg)
+    records = _page_records(page, hierarchy_doc, cfg)
     group = [tpl for tpl in REG if tpl.group == "exist_bare"]
     bindings = enumerate_bindings(group[0], hierarchy_doc, page)
     assert len(bindings) > cap
@@ -301,3 +304,31 @@ def test_per_template_cap_ranks_each_template_of_a_group(hierarchy_doc):
         assert sorted(canonical_binding(r.binding) for r in records
                       if r.template_id == tpl.template_id) == kept[tpl.template_id]
     assert len({tuple(keys) for keys in kept.values()}) > 1
+
+
+def test_title_anchors_are_quotable_titles_unique_in_scope():
+    # locate_text finds a title by a quotable text that is unique in its scope;
+    # a binding that broke this rule would end generation with AnchorNotFound
+    doc = build_document(stack_annotation("anchors", [[
+        ("title", "Results"), ("text", "a"), ("title", "Author's note"), ("table", ""),
+        ("title", "Methods"), ("text", "b"), ("title", "Results"), ("figure", "")]]))
+    result = generate_corpus([doc], GenConfig(seed=7, na_retention=1.0))
+    anchor_kinds = {"page_title_anchor", "doc_title_anchor"}
+    quoted = [r.binding[slot.name] for r in result.records
+              for slot in REG.by_id(r.template_id).slots if slot.kind in anchor_kinds]
+    assert "Methods" in quoted
+    assert "Results" not in quoted and "Author's note" not in quoted
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_corpus_is_the_per_document_outputs_in_doc_id_order(workers):
+    crowded = build_document(stack_annotation("crowded", [
+        [("title", "Intro"), ("table", ""), ("text", "body")],
+        [("text", f"block {i}") for i in range(27)]]))
+    docs = [random_processed_document(s) for s in (470, 471)] + [crowded]
+    cfg = GenConfig(seed=7)
+    result = generate_corpus(docs, cfg, max_workers=workers)
+    outputs = [generate_document(d, cfg) for d in sorted(docs, key=lambda d: d.doc_id)]
+    assert any(e.scope == "page" for _, excluded in outputs for e in excluded)
+    assert result.records == [r for records, _ in outputs for r in records]
+    assert result.excluded == [e for _, excluded in outputs for e in excluded]
