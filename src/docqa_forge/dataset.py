@@ -12,7 +12,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .errors import BadRatios, IoFailure, SchemaViolation
+from .errors import BadParameter, BadRatios, IoFailure, SchemaViolation
 from .generator import QARecord, count_by_type
 from .model import TaskId
 from .programs import ANSWER_SPACE, TOKEN_ANSWERS, AnswerValue
@@ -315,11 +315,13 @@ def _most_common(counts: Counter, n: int) -> list[list]:
 
 
 def compute_stats(splits) -> dict:
-    """Descriptive statistics over the union of all splits."""
+    """Descriptive statistics over the union of all splits, which need distinct names."""
     all_records = [r for split in splits for r in split.records]
     qtype_counts = count_by_type(all_records)
     report: dict = {"splits": {}, "tasks": {}}
     for split in splits:
+        if split.name in report["splits"]:
+            raise BadParameter(f"split name {split.name!r} appears more than once")
         report["splits"][split.name] = {
             "questions": len(split.records),
             "documents": len(split.doc_ids),

@@ -1,8 +1,8 @@
 """Annotation parsing and document preprocessing.
 
-The pipeline order is fixed: parse -> reading order -> caption association
--> document-wide reading indices -> mention index. Each step is a pure
-transformation returning new objects; nothing mutates in place.
+parse_document checks and normalizes one annotation. preprocess_document then
+walks each page once, storing its elements in reading order with both reading
+indices and relabelling captions, and builds the mention index last.
 """
 
 from __future__ import annotations
@@ -132,12 +132,15 @@ def _parse_element(raw, page_index: int, width: float, height: float) -> DocElem
     parent_id = raw.get("parent_id")
     if parent_id is not None and not isinstance(parent_id, str):
         raise MalformedInput(f"element {el_id!r}: parent_id must be a string or null")
-    bbox = BoundingBox(
-        round(x0 / width, _QUANT),
-        round(y0 / height, _QUANT),
-        round(x1 / width, _QUANT),
-        round(y1 / height, _QUANT),
-    )
+    try:  # a box too thin for _QUANT digits collapses when rounded
+        bbox = BoundingBox(
+            round(x0 / width, _QUANT),
+            round(y0 / height, _QUANT),
+            round(x1 / width, _QUANT),
+            round(y1 / height, _QUANT),
+        )
+    except InvalidBBox as exc:
+        raise InvalidBBox(f"element {el_id!r}: {exc}") from exc
     return DocElement(id=el_id, page_index=page_index, bbox=bbox,
                       category=ElementCategory(category), text=text, parent_id=parent_id)
 
@@ -174,19 +177,41 @@ def serialize_document(doc: Document) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Reading order
+# Preprocessing: reading order and captions
 # ---------------------------------------------------------------------------
 
-def assign_reading_order(page: Page) -> Page:
-    """Assign page_reading_index column-first, top-to-bottom.
+def preprocess_document(doc: Document) -> Document:
+    """Preprocess a freshly parsed document in one pass over its pages.
+
+    Each page stores its elements in reading order, the canon that Scope and
+    document_to_processed rely on, each built once with both reading indices;
+    the Texts that pair_captions gives a float become its captions.
+    """
+    pages = []
+    start = 0
+    for page in doc.pages:
+        elements = [DocElement(id=el.id, page_index=el.page_index, bbox=el.bbox,
+                               category=el.category, text=el.text, parent_id=el.parent_id,
+                               page_reading_index=i, doc_reading_index=start + i)
+                    for i, el in enumerate(_reading_order(page.elements))]
+        start += len(elements)
+        owners = pair_captions([el for el in elements if el.category.is_float],
+                               [el for el in elements if el.category == ElementCategory.TEXT])
+        elements = tuple(
+            replace(el, category=owners[el.id].category.caption_kind) if el.id in owners else el
+            for el in elements)
+        pages.append(replace(page, elements=elements))
+    return build_mention_index(replace(doc, pages=tuple(pages)))
+
+
+def _reading_order(elements) -> list[DocElement]:
+    """The elements column-first, top-to-bottom.
 
     Elements cluster into columns by x-center (greedy 1-D clustering with a
     COLUMN_GAP threshold against the running column mean); columns read
     left to right, and within a column order is (y0, x0, id).
     """
-    if not page.elements:
-        return page
-    by_center = sorted(page.elements, key=lambda e: (e.bbox.center[0], e.id))
+    by_center = sorted(elements, key=lambda e: (e.bbox.center[0], e.id))
     columns: list[list[DocElement]] = []
     means: list[float] = []
     for el in by_center:
@@ -203,28 +228,8 @@ def assign_reading_order(page: Page) -> Page:
     for column in columns:
         column.sort(key=lambda e: (e.bbox.y0, e.bbox.x0, e.id))
         ordered.extend(column)
-    elements = tuple(replace(el, page_reading_index=i) for i, el in enumerate(ordered))
-    # Keep storage order aligned with reading order; it is the page's canon.
-    return replace(page, elements=elements)
+    return ordered
 
-
-def assign_document_order(doc: Document) -> Document:
-    """Assign doc_reading_index following page order then page reading order."""
-    pages = []
-    counter = 0
-    for page in doc.pages:
-        ordered = sorted(page.elements, key=lambda e: e.page_reading_index)
-        renumbered = []
-        for el in ordered:
-            renumbered.append(replace(el, doc_reading_index=counter))
-            counter += 1
-        pages.append(replace(page, elements=tuple(renumbered)))
-    return replace(doc, pages=tuple(pages))
-
-
-# ---------------------------------------------------------------------------
-# Caption association
-# ---------------------------------------------------------------------------
 
 def pair_captions(anchors, candidates) -> dict[str, DocElement]:
     """Pair floats with their captions on one page; returns caption id -> float.
@@ -253,18 +258,6 @@ def pair_captions(anchors, candidates) -> dict[str, DocElement]:
         if held is None or (gap, anchor.page_reading_index) < (held[0], held[1]):
             owners[cand.id] = (gap, anchor.page_reading_index, anchor)
     return {cand_id: anchor for cand_id, (_, _, anchor) in owners.items()}
-
-
-def associate_captions(page: Page) -> Page:
-    """Relabel the Text nearest each Table/Figure as its caption (see pair_captions)."""
-    anchors = [el for el in page.elements if el.category.is_float]
-    texts = [el for el in page.elements if el.category == ElementCategory.TEXT]
-    owners = pair_captions(anchors, texts)
-    elements = tuple(
-        replace(el, category=owners[el.id].category.caption_kind) if el.id in owners else el
-        for el in page.elements
-    )
-    return replace(page, elements=elements)
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +293,8 @@ def build_mention_index(doc: Document) -> Document:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline and validation
+# Validation
 # ---------------------------------------------------------------------------
-
-def preprocess_document(doc: Document) -> Document:
-    """Run the full preprocessing pipeline on a freshly parsed document."""
-    pages = tuple(associate_captions(assign_reading_order(p)) for p in doc.pages)
-    doc = assign_document_order(replace(doc, pages=pages))
-    return build_mention_index(doc)
-
 
 @dataclass(frozen=True)
 class Exclusion:

@@ -419,6 +419,20 @@ def test_duplicate_prediction_qid_is_named_in_the_error(tmp_path, capsys):
     assert f"error: SchemaViolation: {pred}:3: duplicate prediction for qid 'q1'" in err
 
 
+def test_stats_rejects_a_repeated_split_name(tmp_path, capsys):
+    inputs = []
+    for name, count in (("a", 2), ("b", 5)):
+        (tmp_path / name).mkdir()
+        inputs.append(tmp_path / name / "test.jsonl")
+        inputs[-1].write_text("".join(_a01_line(i) + "\n" for i in range(count)))
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--in", *map(str, inputs)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error: split name 'test' appears more than once\n" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["templates", "stats"])
 def test_stdout_equals_the_out_file_bytes(tmp_path, corpus_dir, capsys, command):
     argv = ["templates", "dump"]

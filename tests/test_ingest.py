@@ -9,8 +9,6 @@ from conftest import build_document, stack_annotation
 from synthcorpus import random_annotation
 from docqa_forge.errors import DuplicateId, InvalidBBox, MalformedInput
 from docqa_forge.ingest import (
-    assign_reading_order,
-    associate_captions,
     document_from_processed,
     parse_document,
     preprocess_document,
@@ -43,6 +41,11 @@ def test_parse_normalizes_by_page_dimensions():
 def test_parse_rejects_degenerate_bbox():
     with pytest.raises(InvalidBBox):
         parse_document(json.dumps(one_page([element("t", "title", [90, 5, 10, 10])])))
+
+
+def test_parse_names_the_element_whose_box_collapses_when_normalized():
+    with pytest.raises(InvalidBBox, match=r"^element 'tiny': degenerate box"):
+        parse_document(json.dumps(one_page([element("tiny", "text", [0, 0, 1e-10, 10])])))
 
 
 def test_parse_rejects_bbox_outside_page():
@@ -111,7 +114,7 @@ def test_reading_order_two_columns():
         element("B", "text", [5, 40, 45, 80]),
         element("C", "text", [55, 10, 95, 50]),
     ])))
-    page = assign_reading_order(doc.pages[0])
+    page = preprocess_document(doc).pages[0]
     order = [el.id for el in sorted(page.elements, key=lambda e: e.page_reading_index)]
     assert order == ["A", "B", "C"]
 
@@ -122,7 +125,7 @@ def test_reading_order_single_column_by_y():
         element("a", "text", [5, 10, 95, 30]),
         element("b", "text", [5, 40, 95, 60]),
     ])))
-    page = assign_reading_order(doc.pages[0])
+    page = preprocess_document(doc).pages[0]
     order = [el.id for el in sorted(page.elements, key=lambda e: e.page_reading_index)]
     assert order == ["a", "b", "c"]
 
@@ -132,7 +135,7 @@ def test_reading_order_identical_boxes_tie_break_by_id():
         element("z", "text", [5, 10, 95, 30]),
         element("a", "text", [5, 10, 95, 30]),
     ])))
-    page = assign_reading_order(doc.pages[0])
+    page = preprocess_document(doc).pages[0]
     order = [el.id for el in sorted(page.elements, key=lambda e: e.page_reading_index)]
     assert order == ["a", "z"]
 
@@ -140,7 +143,7 @@ def test_reading_order_identical_boxes_tie_break_by_id():
 def test_reading_order_empty_page_is_valid():
     doc = parse_document(json.dumps({"doc_id": "d", "pages": [
         {"index": 0, "width": 10, "height": 10, "elements": []}]}))
-    assert assign_reading_order(doc.pages[0]).elements == ()
+    assert preprocess_document(doc).pages[0].elements == ()
 
 
 def test_reading_index_bijectivity_on_synthetic_pages():
@@ -160,6 +163,30 @@ def test_doc_reading_index_follows_page_concatenation():
         assert [el.doc_reading_index for el in flat] == list(range(len(flat)))
 
 
+def test_pages_store_their_elements_in_reading_order():
+    two_column = one_page([
+        element("R", "text", [55, 10, 95, 50]),
+        element("L2", "text", [5, 40, 45, 80]),
+        element("L1", "text", [5, 10, 45, 30]),
+    ])
+    second = dict(two_column["pages"][0], index=1,
+                  elements=[element("T", "title", [5, 5, 95, 15]),
+                            element("F", "figure", [5, 20, 95, 60]),
+                            element("C", "text", [5, 62, 95, 70], "Figure 1 caption.")])
+    two_column["pages"].append(second)
+    raws = [random_annotation(seed) for seed in range(10)] + [two_column]
+    for raw in raws:
+        doc = preprocess_document(parse_document(json.dumps(raw)))
+        earlier = 0
+        for page in doc.pages:
+            n = len(page.elements)
+            assert [el.page_reading_index for el in page.elements] == list(range(n))
+            for el in page.elements:
+                assert el.doc_reading_index == earlier + el.page_reading_index
+            earlier += n
+    assert [el.id for el in doc.pages[0].elements] == ["L1", "L2", "R"]  # two_column
+
+
 # --- caption association --------------------------------------------------------
 
 def test_caption_below_table_relabeled(p1_doc):
@@ -173,7 +200,7 @@ def test_caption_beyond_distance_cap_not_relabeled():
         element("fig", "figure", [5, 10, 95, 30]),
         element("txt", "text", [5, 50, 95, 60], "Figure 1 far away."),
     ])))
-    page = associate_captions(assign_reading_order(doc.pages[0]))
+    page = preprocess_document(doc).pages[0]
     categories = {el.id: el.category for el in page.elements}
     assert categories["txt"] == ElementCategory.TEXT
 
@@ -186,15 +213,13 @@ def test_equidistant_text_goes_to_smaller_reading_index_anchor():
         element("cap", "text", [40, 48, 60, 56], "Table 1 caption."),
         element("t2", "table", [40, 60, 60, 72]),
     ], width=128.0, height=128.0)))
-    page = associate_captions(assign_reading_order(doc.pages[0]))
+    page = preprocess_document(doc).pages[0]
     categories = {el.id: el.category for el in page.elements}
     assert categories["cap"] == ElementCategory.TABLE_CAPTION
     # t1 reads first, so the logical pairing must hand the caption to t1
     from docqa_forge.graphs import build_logical_graph
-    from docqa_forge.ingest import assign_document_order
-    from dataclasses import replace
 
-    doc2 = assign_document_order(replace(doc, pages=(page,)))
+    doc2 = preprocess_document(doc)
     graph = build_logical_graph(doc2)
     assert graph.parent("t1") == "cap"
     assert graph.parent("t2") != "cap"
@@ -203,9 +228,8 @@ def test_equidistant_text_goes_to_smaller_reading_index_anchor():
 def test_caption_conservation_on_synthetic_pages():
     for seed in range(10):
         raw = parse_document(json.dumps(random_annotation(seed)))
-        for page in raw.pages:
-            before = {el.id: el for el in assign_reading_order(page).elements}
-            after = associate_captions(assign_reading_order(page))
+        for page, after in zip(raw.pages, preprocess_document(raw).pages):
+            before = {el.id: el for el in page.elements}
             floats = sum(1 for el in before.values() if el.category.is_float)
             relabeled = 0
             for el in after.elements:
