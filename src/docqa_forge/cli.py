@@ -20,6 +20,7 @@ from .dataset import (
     atomic_write_json,
     atomic_write_lines,
     check_ratios,
+    check_split_names,
     compute_stats,
     json_text,
     read_bytes,
@@ -115,7 +116,8 @@ def _output_json(data, out) -> None:
 def _cmd_ingest(args) -> int:
     corpus = load_corpus(args.input)
     payload = {"documents": [document_to_processed(d) for d in corpus]}
-    atomic_write_json(args.out, payload)
+    # one compact line: json encodes it in C, which it does not with indent
+    atomic_write_lines(args.out, [json.dumps(payload, sort_keys=True)])
     print(f"ingested {len(corpus)} documents -> {args.out}", file=sys.stderr)
     return 0
 
@@ -187,6 +189,7 @@ def _cmd_stats(args) -> int:
     if len(inputs) == 1 and inputs[0].is_dir():
         splits = read_dataset(inputs[0])
     else:
+        check_split_names(path.stem for path in inputs)  # before any file is read
         splits = [DatasetSplit.of(path.stem, read_records_jsonl(path)) for path in inputs]
     _output_json(compute_stats(splits), args.out)
     return 0

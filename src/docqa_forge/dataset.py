@@ -101,11 +101,14 @@ def record_from_json(data) -> QARecord:
 
 
 def _json_value(value) -> str:
-    """json.dumps(value); the str and int values records hold most, directly."""
+    """json.dumps(value); the str and int values records hold most, and the
+    sorted int tuple of an index_set answer, directly."""
     if type(value) is str:
         return _quote(value)
     if type(value) is int:
         return int.__repr__(value)
+    if type(value) is tuple:
+        return "[" + ", ".join(map(int.__repr__, value)) + "]"
     return json.dumps(value)
 
 
@@ -314,14 +317,22 @@ def _most_common(counts: Counter, n: int) -> list[list]:
     return [[item, c] for item, c in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]]
 
 
+def check_split_names(names) -> None:
+    """BadParameter naming the first split name that appears more than once."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise BadParameter(f"split name {name!r} appears more than once")
+        seen.add(name)
+
+
 def compute_stats(splits) -> dict:
     """Descriptive statistics over the union of all splits, which need distinct names."""
+    check_split_names(split.name for split in splits)
     all_records = [r for split in splits for r in split.records]
     qtype_counts = count_by_type(all_records)
     report: dict = {"splits": {}, "tasks": {}}
     for split in splits:
-        if split.name in report["splits"]:
-            raise BadParameter(f"split name {split.name!r} appears more than once")
         report["splits"][split.name] = {
             "questions": len(split.records),
             "documents": len(split.doc_ids),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .errors import DuplicateId, InvalidBBox, MalformedInput
 from .geometry import BoundingBox
-from .model import Document, DocElement, ElementCategory, Page, TaskId
+from .model import UNASSIGNED, Document, DocElement, ElementCategory, Page, TaskId
 
 # Column clustering: a new column starts when an element's x-center sits more
 # than this fraction of the page width away from the running column center.
@@ -27,10 +27,10 @@ CAPTION_MAX_GAP = 0.08
 PAGE_ELEMENT_LIMIT = 25
 DOC_ELEMENT_LIMIT = 400
 
-_CATEGORY_VALUES = {c.value for c in ElementCategory}
+_CATEGORIES = {c.value: c for c in ElementCategory}
 
-# Coordinates are quantized after normalization so that serialize -> parse
-# round-trips exactly despite the float multiply/divide.
+# Coordinates are quantized after normalization so that a document written in
+# source units parses back exactly despite the float multiply/divide.
 _QUANT = 9
 
 
@@ -56,7 +56,13 @@ def parse_document(raw: bytes | str | dict) -> Document:
     Reading indices are left unassigned; categories (including explicit
     caption labels) are taken as given.
     """
-    data = decode_json(raw) if isinstance(raw, (bytes, str)) else raw
+    return _load_document(decode_json(raw) if isinstance(raw, (bytes, str)) else raw,
+                          processed=False)
+
+
+def _load_document(data, processed: bool) -> Document:
+    """The one page/element loop; with processed set, it also reads both reading
+    indices of each element as it builds it, and then the mention index."""
     if not isinstance(data, dict):
         raise MalformedInput("document must be a JSON object")
 
@@ -74,8 +80,12 @@ def parse_document(raw: bytes | str | dict) -> Document:
     pages_raw = data.get("pages")
     if not isinstance(pages_raw, list):
         raise MalformedInput("pages must be a list")
+    total = sum(len(p["elements"]) for p in pages_raw  # bad pages fail in the loop
+                if isinstance(p, dict) and isinstance(p.get("elements"), list))
 
     seen_ids: set[str] = set()
+    doc_seen: set[int] = set()
+    pri = dri = UNASSIGNED  # as parse_document leaves them
     pages: list[Page] = []
     for position, page_raw in enumerate(pages_raw):
         if not isinstance(page_raw, dict):
@@ -87,41 +97,70 @@ def parse_document(raw: bytes | str | dict) -> Document:
         height = page_raw.get("height")
         if not _is_positive_number(width) or not _is_positive_number(height):
             raise MalformedInput(f"page {position}: width/height must be positive numbers")
+        width, height = float(width), float(height)
         elements_raw = page_raw.get("elements", [])
         if not isinstance(elements_raw, list):
             raise MalformedInput(f"page {position}: elements must be a list")
 
+        page_seen: set[int] = set()
         elements = []
         for el_raw in elements_raw:
-            el = _parse_element(el_raw, position, float(width), float(height))
-            if el.id in seen_ids:
-                raise DuplicateId(f"element id {el.id!r} appears more than once")
-            seen_ids.add(el.id)
-            elements.append(el)
-        pages.append(Page(index=position, width=float(width), height=float(height),
+            el_id, bbox, category, text, parent_id = _parse_element(el_raw, position,
+                                                                    width, height)
+            if el_id in seen_ids:
+                raise DuplicateId(f"element id {el_id!r} appears more than once")
+            seen_ids.add(el_id)
+            if processed:
+                pri = _reading_index(doc_id, el_id, el_raw, "page_reading_index",
+                                     len(elements_raw), page_seen)
+                dri = _reading_index(doc_id, el_id, el_raw, "doc_reading_index",
+                                     total, doc_seen)
+            elements.append(DocElement(id=el_id, page_index=position, bbox=bbox,
+                                       category=category, text=text, parent_id=parent_id,
+                                       page_reading_index=pri, doc_reading_index=dri))
+        pages.append(Page(index=position, width=width, height=height,
                           elements=tuple(elements)))
 
-    return Document(doc_id=doc_id, pages=tuple(pages), references=tuple(references))
+    mention_index = {}
+    if processed:
+        mentions = data.get("mention_index", {})
+        if not isinstance(mentions, dict):
+            raise MalformedInput(f"document {doc_id!r}: mention_index must be an object")
+        for label, el_ids in mentions.items():
+            if not isinstance(el_ids, list):
+                raise MalformedInput(f"document {doc_id!r}: mention_index entry {label!r} "
+                                     f"must be a list of element ids")
+            for el_id in el_ids:
+                if not isinstance(el_id, str) or el_id not in seen_ids:
+                    raise MalformedInput(f"document {doc_id!r}: mention_index entry "
+                                         f"{label!r} names unknown element {el_id!r}")
+        mention_index = {k: tuple(v) for k, v in sorted(mentions.items())}
+    return Document(doc_id=doc_id, pages=tuple(pages), references=tuple(references),
+                    mention_index=mention_index)
 
 
 def _is_positive_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
 
 
-def _parse_element(raw, page_index: int, width: float, height: float) -> DocElement:
+def _parse_element(raw, page_index: int, width: float, height: float):
+    """The id, normalized box, category, text and parent id of one raw element."""
     if not isinstance(raw, dict):
         raise MalformedInput(f"page {page_index}: element must be an object")
     el_id = raw.get("id")
     if not isinstance(el_id, str) or not el_id:
         raise MalformedInput(f"page {page_index}: element id must be a nonempty string")
-    category = raw.get("category")
-    if not isinstance(category, str) or category not in _CATEGORY_VALUES:
-        raise MalformedInput(f"element {el_id!r}: unknown category {category!r}")
+    name = raw.get("category")
+    category = _CATEGORIES.get(name) if isinstance(name, str) else None
+    if category is None:
+        raise MalformedInput(f"element {el_id!r}: unknown category {name!r}")
     bbox_raw = raw.get("bbox")
-    if (not isinstance(bbox_raw, list) or len(bbox_raw) != 4
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in bbox_raw)):
+    if not isinstance(bbox_raw, list) or len(bbox_raw) != 4:
         raise MalformedInput(f"element {el_id!r}: bbox must be four numbers")
-    x0, y0, x1, y1 = (float(v) for v in bbox_raw)
+    for v in bbox_raw:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise MalformedInput(f"element {el_id!r}: bbox must be four numbers")
+    x0, y0, x1, y1 = map(float, bbox_raw)
     if not (x0 < x1 and y0 < y1):
         raise InvalidBBox(f"element {el_id!r}: degenerate bbox {bbox_raw}")
     if x0 < 0 or y0 < 0 or x1 > width or y1 > height:
@@ -141,39 +180,7 @@ def _parse_element(raw, page_index: int, width: float, height: float) -> DocElem
         )
     except InvalidBBox as exc:
         raise InvalidBBox(f"element {el_id!r}: {exc}") from exc
-    return DocElement(id=el_id, page_index=page_index, bbox=bbox,
-                      category=ElementCategory(category), text=text, parent_id=parent_id)
-
-
-def serialize_document(doc: Document) -> dict:
-    """Inverse of parse_document: annotation-schema dict in source units."""
-    return {
-        "doc_id": doc.doc_id,
-        "references": list(doc.references),
-        "pages": [
-            {
-                "index": page.index,
-                "width": page.width,
-                "height": page.height,
-                "elements": [
-                    {
-                        "id": el.id,
-                        "category": el.category.value,
-                        "bbox": [
-                            round(el.bbox.x0 * page.width, _QUANT),
-                            round(el.bbox.y0 * page.height, _QUANT),
-                            round(el.bbox.x1 * page.width, _QUANT),
-                            round(el.bbox.y1 * page.height, _QUANT),
-                        ],
-                        "text": el.text,
-                        "parent_id": el.parent_id,
-                    }
-                    for el in page.elements
-                ],
-            }
-            for page in doc.pages
-        ],
-    }
+    return el_id, bbox, category, text, parent_id
 
 
 # ---------------------------------------------------------------------------
@@ -345,46 +352,45 @@ def validate_for_generation(doc: Document, task: TaskId) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def document_to_processed(doc: Document) -> dict:
-    data = serialize_document(doc)
-    for page, page_raw in zip(doc.pages, data["pages"]):
-        for el, el_raw in zip(page.elements, page_raw["elements"]):
-            el_raw["page_reading_index"] = el.page_reading_index
-            el_raw["doc_reading_index"] = el.doc_reading_index
-    data["mention_index"] = {k: list(v) for k, v in doc.mention_index.items()}
-    return data
+    """The annotation-schema dict of doc in source units, which parse_document
+    reads back, with both reading indices of each element and the mention index."""
+    return {
+        "doc_id": doc.doc_id,
+        "references": list(doc.references),
+        "pages": [
+            {
+                "index": page.index,
+                "width": page.width,
+                "height": page.height,
+                "elements": [
+                    {
+                        "id": el.id,
+                        "category": el.category.value,
+                        "bbox": [
+                            round(el.bbox.x0 * page.width, _QUANT),
+                            round(el.bbox.y0 * page.height, _QUANT),
+                            round(el.bbox.x1 * page.width, _QUANT),
+                            round(el.bbox.y1 * page.height, _QUANT),
+                        ],
+                        "text": el.text,
+                        "parent_id": el.parent_id,
+                        "page_reading_index": el.page_reading_index,
+                        "doc_reading_index": el.doc_reading_index,
+                    }
+                    for el in page.elements
+                ],
+            }
+            for page in doc.pages
+        ],
+        "mention_index": {k: list(v) for k, v in doc.mention_index.items()},
+    }
 
 
 def document_from_processed(data: dict) -> Document:
     """Inverse of document_to_processed. Reading indices must number each
     page's elements 0..n-1 and the document's 0..N-1; the mention index must
     map each label to a list of the document's element ids."""
-    doc = parse_document(data)
-    total = doc.element_count
-    doc_seen: set[int] = set()
-    pages = []
-    for page, page_raw in zip(doc.pages, data["pages"]):
-        page_seen: set[int] = set()
-        elements = []
-        for el, el_raw in zip(page.elements, page_raw.get("elements", [])):
-            pri = _reading_index(doc.doc_id, el.id, el_raw, "page_reading_index",
-                                 len(page.elements), page_seen)
-            dri = _reading_index(doc.doc_id, el.id, el_raw, "doc_reading_index",
-                                 total, doc_seen)
-            elements.append(replace(el, page_reading_index=pri, doc_reading_index=dri))
-        pages.append(replace(page, elements=tuple(elements)))
-    mentions = data.get("mention_index", {})
-    if not isinstance(mentions, dict):
-        raise MalformedInput(f"document {doc.doc_id!r}: mention_index must be an object")
-    for label, el_ids in mentions.items():
-        if not isinstance(el_ids, list):
-            raise MalformedInput(f"document {doc.doc_id!r}: mention_index entry {label!r} "
-                                 f"must be a list of element ids")
-        for el_id in el_ids:
-            if not isinstance(el_id, str) or el_id not in doc.by_id:
-                raise MalformedInput(f"document {doc.doc_id!r}: mention_index entry {label!r} "
-                                     f"names unknown element {el_id!r}")
-    mention_index = {k: tuple(v) for k, v in sorted(mentions.items())}
-    return replace(doc, pages=tuple(pages), mention_index=mention_index)
+    return _load_document(data, processed=True)
 
 
 def _reading_index(doc_id: str, el_id: str, el_raw: dict, key: str, count: int,

@@ -14,7 +14,7 @@ import docqa_forge
 from conftest import stack_annotation
 from synthcorpus import random_annotation
 from docqa_forge.balance import BalanceConfig
-from docqa_forge.cli import main
+from docqa_forge.cli import load_corpus, main
 from docqa_forge.dataset import check_ratios
 from docqa_forge.errors import BadParameter
 from docqa_forge.generator import GenConfig, resolve_workers
@@ -82,16 +82,20 @@ def test_full_pipeline_through_cli(tmp_path, corpus_dir, capsys):
 def test_ingest_then_generate_from_processed(tmp_path, corpus_dir):
     processed = tmp_path / "corpus.json"
     assert main(["ingest", "--in", str(corpus_dir), "--out", str(processed)]) == 0
-    payload = json.loads(processed.read_text())
+    text = processed.read_text()
+    payload = json.loads(text)
     assert len(payload["documents"]) == 3
+    assert text == json.dumps(payload, sort_keys=True) + "\n"
+    indented = tmp_path / "indented.json"  # the layout ingest wrote before
+    indented.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    assert load_corpus(indented) == load_corpus(processed)
 
-    direct = tmp_path / "direct.jsonl"
-    via_processed = tmp_path / "via.jsonl"
-    assert main(["generate", "--in", str(corpus_dir), "--out", str(direct),
-                 "--seed", "3"]) == 0
-    assert main(["generate", "--in", str(processed), "--out", str(via_processed),
-                 "--seed", "3"]) == 0
-    assert direct.read_bytes() == via_processed.read_bytes()
+    raw = []
+    for i, source in enumerate((corpus_dir, processed, indented)):
+        out = tmp_path / f"raw{i}.jsonl"
+        assert main(["generate", "--in", str(source), "--out", str(out), "--seed", "3"]) == 0
+        raw.append(out.read_bytes())
+    assert raw[0] == raw[1] == raw[2]
 
 
 def test_generate_trace_output(tmp_path, corpus_dir):
@@ -322,6 +326,34 @@ def test_malformed_processed_corpus_is_named_in_the_error(tmp_path, corpus_dir, 
     assert "Traceback" not in err
 
 
+def _true_reading_index(doc):
+    doc["pages"][0]["elements"][0]["page_reading_index"] = True
+
+
+def _doc_reading_index_repeated_on_a_later_page(doc):
+    doc["pages"][1]["elements"][0]["doc_reading_index"] = 0
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_true_reading_index, "document 'synt00900': element 's0x0': page_reading_index "
+                          "must be a distinct integer in 0..5, got True"),
+    (_doc_reading_index_repeated_on_a_later_page,
+     "document 'synt00900': element 's1x6': doc_reading_index "
+     "must be a distinct integer in 0..12, got 0"),
+])
+def test_bad_reading_index_message(tmp_path, corpus_dir, capsys, corrupt, message):
+    processed = tmp_path / "corpus.json"
+    assert main(["ingest", "--in", str(corpus_dir / "synth.json"), "--out", str(processed)]) == 0
+    payload = json.loads(processed.read_text())
+    corrupt(payload["documents"][0])
+    processed.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["generate", "--in", str(processed), "--out", str(tmp_path / "r.jsonl"),
+                 "--seed", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: MalformedInput: {processed}: {message}\n"
+
+
 def test_trace_runs_no_program_twice(tmp_path, corpus_dir, monkeypatch):
     # every compile_program/execute a module can reach, however it looks them up
     import docqa_forge.cli as cli_module
@@ -419,12 +451,15 @@ def test_duplicate_prediction_qid_is_named_in_the_error(tmp_path, capsys):
     assert f"error: SchemaViolation: {pred}:3: duplicate prediction for qid 'q1'" in err
 
 
-def test_stats_rejects_a_repeated_split_name(tmp_path, capsys):
+@pytest.mark.parametrize("second", ["".join(_a01_line(i) + "\n" for i in range(5)), "{\n"],
+                         ids=["good", "bad-line"])
+def test_stats_rejects_a_repeated_split_name(tmp_path, capsys, second):
+    # the stems are checked before any file is read, so a bad line is never reached
     inputs = []
-    for name, count in (("a", 2), ("b", 5)):
+    for name, text in (("a", _a01_line(0) + "\n" + _a01_line(1) + "\n"), ("b", second)):
         (tmp_path / name).mkdir()
         inputs.append(tmp_path / name / "test.jsonl")
-        inputs[-1].write_text("".join(_a01_line(i) + "\n" for i in range(count)))
+        inputs[-1].write_text(text)
     with pytest.raises(SystemExit) as exc:
         main(["stats", "--in", *map(str, inputs)])
     err = capsys.readouterr().err

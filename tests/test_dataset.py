@@ -238,6 +238,9 @@ def _writer_cases():
              "Which section does include the \"quoted\\path\"\n\u2028?",
              {"E": "\"quoted\\path\"\n\u2028"},
              AnswerValue.na()),
+        make("q7", "C11", QuestionType.PARENT_RELATION, TaskId.C, None,
+             "Which section does include the Results?", {"E": "Results"},
+             AnswerValue.index_set([0])),
     ]
 
 

@@ -10,9 +10,9 @@ from synthcorpus import random_annotation
 from docqa_forge.errors import DuplicateId, InvalidBBox, MalformedInput
 from docqa_forge.ingest import (
     document_from_processed,
+    document_to_processed,
     parse_document,
     preprocess_document,
-    serialize_document,
     validate_for_generation,
 )
 from docqa_forge.model import ElementCategory, TaskId
@@ -94,14 +94,14 @@ def test_parse_rejects_non_json():
 
 def test_parse_serialize_round_trip(p1_annotation):
     doc = parse_document(json.dumps(p1_annotation))
-    again = parse_document(json.dumps(serialize_document(doc)))
+    again = parse_document(json.dumps(document_to_processed(doc)))
     assert again == doc
 
 
 def test_parse_serialize_round_trip_on_synthetic_docs():
     for seed in range(12):
         doc = parse_document(json.dumps(random_annotation(seed)))
-        again = parse_document(json.dumps(serialize_document(doc)))
+        again = parse_document(json.dumps(document_to_processed(doc)))
         assert again == doc
 
 
