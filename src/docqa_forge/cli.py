@@ -115,9 +115,12 @@ def _output_json(data, out) -> None:
 
 def _cmd_ingest(args) -> int:
     corpus = load_corpus(args.input)
-    payload = {"documents": [document_to_processed(d) for d in corpus]}
-    # one compact line: json encodes it in C, which it does not with indent
-    atomic_write_lines(args.out, [json.dumps(payload, sort_keys=True)])
+    # One compact line, equal to json.dumps({"documents": [...]}, sort_keys=True).
+    # Each document is encoded on its own (in C, which indent would prevent), so
+    # the encoder never holds the pieces of the whole corpus at once.
+    documents = ", ".join(json.dumps(document_to_processed(d), sort_keys=True)
+                          for d in corpus)
+    atomic_write_lines(args.out, ['{"documents": [' + documents + "]}"])
     print(f"ingested {len(corpus)} documents -> {args.out}", file=sys.stderr)
     return 0
 
@@ -138,13 +141,13 @@ def _cmd_generate(args) -> int:
     }
     atomic_write_json(f"{args.out}.manifest.json", manifest)
     if args.trace:
-        _write_traces(result.records, args.trace)
+        atomic_write_lines(args.trace, _trace_lines(result.records))
     print(f"generated {len(result.records)} records "
           f"({workers} workers) -> {args.out}", file=sys.stderr)
     return 0
 
 
-def _write_traces(records, path) -> None:
+def _trace_lines(records):
     """One line per record, in record order: the steps of the execution that
     produced its answer, as generation recorded them."""
     ops = {tpl.template_id: [op for op, _ in GROUP_PROGRAMS[tpl.group]]
@@ -152,14 +155,12 @@ def _write_traces(records, path) -> None:
     # Records of one template share few step-size patterns, so each distinct
     # trace is encoded once; the line equals json.dumps({"qid": .., "trace": ..}).
     traces: dict[tuple, str] = {}
-    lines = []
     for r in records:
         key = (r.template_id, r.step_sizes)
         trace = traces.get(key)
         if trace is None:
             trace = traces[key] = json.dumps(trace_steps(ops[r.template_id], r.step_sizes))
-        lines.append(f'{{"qid": {json.dumps(r.qid)}, "trace": {trace}}}')
-    atomic_write_lines(path, lines)
+        yield f'{{"qid": {json.dumps(r.qid)}, "trace": {trace}}}'
 
 
 def _cmd_balance(args) -> int:

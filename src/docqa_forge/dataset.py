@@ -49,8 +49,8 @@ def answer_from_json(data) -> AnswerValue:
             raise SchemaViolation(f"index answer needs an int, got {value!r}")
         return indices[value] if 0 <= value < len(indices) else AnswerValue.index(value)
     if kind == "index_set":
-        if (not isinstance(value, list) or not value
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in value)):
+        # the element types as one set: exactly int, so no bool, str or float
+        if not isinstance(value, list) or set(map(type, value)) != {int}:
             raise SchemaViolation(f"index_set answer needs a nonempty int list, got {value!r}")
         return AnswerValue.index_set(value)
     if kind == "na":
@@ -141,40 +141,55 @@ def read_bytes(path: Path) -> bytes:
 def jsonl_lines(path, parse) -> list:
     """parse(value) for the value on each nonblank line of a JSONL file, in order.
 
-    Raises IoFailure when the file cannot be read, and SchemaViolation naming
-    path:lineno when a line is not UTF-8, is not one valid JSON value, or
-    parse rejects it with a SchemaViolation.
+    The file is read one line at a time, so only the parsed values are held;
+    lines are numbered as str.splitlines() numbers the whole decoded file.
+    Raises IoFailure when the file cannot be opened or read, and
+    SchemaViolation naming path:lineno for the first line, in file order,
+    that is not UTF-8, is not one valid JSON value, or that parse rejects
+    with a SchemaViolation.
     """
     path = Path(path)
-    raw = read_bytes(path)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the line of the first bad byte, numbered as splitlines() below numbers it
-        lineno = len((raw[:exc.start].decode("utf-8") + ".").splitlines())
-        raise SchemaViolation(f"{path}:{lineno}: not valid UTF-8") from exc
     scan = json.JSONDecoder().scan_once
     parsed = []
+    lineno = 0
     # The values are trees, freed by reference counting; collector passes over
     # the growing list would only cost time. Restored on every path.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            # Spaces and tabs are the only JSON whitespace a split line can hold.
-            line = line.strip(" \t")
-            try:
-                data, end = scan(line, 0)
-                if end != len(line):
-                    raise ValueError("extra data after the value")
-            except (StopIteration, ValueError, RecursionError) as exc:
-                raise SchemaViolation(f"{path}:{lineno}: not valid JSON") from exc
-            try:
-                parsed.append(parse(data))
-            except SchemaViolation as exc:
-                raise SchemaViolation(f"{path}:{lineno}: {exc}") from exc
+        with path.open("rb") as chunks:
+            # Each chunk ends at a b"\n", which ends a line for splitlines() too
+            # (alone or as the end of "\r\n") and is never inside a UTF-8 sequence.
+            for chunk in chunks:
+                try:
+                    text, is_utf8 = chunk.decode("utf-8"), True
+                except UnicodeDecodeError:
+                    # Each bad byte becomes a lone surrogate, which a line then
+                    # fails to encode, so the lines before it are read first.
+                    text, is_utf8 = chunk.decode("utf-8", "surrogateescape"), False
+                for line in text.splitlines():
+                    lineno += 1
+                    if not line.strip():
+                        continue
+                    if not is_utf8:
+                        try:
+                            line.encode("utf-8")
+                        except UnicodeEncodeError as exc:
+                            raise SchemaViolation(f"{path}:{lineno}: not valid UTF-8") from exc
+                    # Spaces and tabs are the only JSON whitespace a split line can hold.
+                    line = line.strip(" \t")
+                    try:
+                        data, end = scan(line, 0)
+                        if end != len(line):
+                            raise ValueError("extra data after the value")
+                    except (StopIteration, ValueError, RecursionError) as exc:
+                        raise SchemaViolation(f"{path}:{lineno}: not valid JSON") from exc
+                    try:
+                        parsed.append(parse(data))
+                    except SchemaViolation as exc:
+                        raise SchemaViolation(f"{path}:{lineno}: {exc}") from exc
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -12,12 +12,13 @@ import pytest
 
 import docqa_forge
 from conftest import stack_annotation
-from synthcorpus import random_annotation
+from synthcorpus import random_annotation, random_processed_document
 from docqa_forge.balance import BalanceConfig
 from docqa_forge.cli import load_corpus, main
 from docqa_forge.dataset import check_ratios
 from docqa_forge.errors import BadParameter
 from docqa_forge.generator import GenConfig, resolve_workers
+from docqa_forge.ingest import document_to_processed
 
 
 @pytest.fixture
@@ -96,6 +97,17 @@ def test_ingest_then_generate_from_processed(tmp_path, corpus_dir):
         assert main(["generate", "--in", str(source), "--out", str(out), "--seed", "3"]) == 0
         raw.append(out.read_bytes())
     assert raw[0] == raw[1] == raw[2]
+
+
+@pytest.mark.parametrize("count", [0, 1, 4])
+def test_ingest_bytes_equal_json_dumps_of_the_payload(tmp_path, count):
+    # ingest encodes each document on its own and joins them
+    documents = [document_to_processed(random_processed_document(seed))
+                 for seed in range(count)]
+    source, out = tmp_path / "in.json", tmp_path / "out.json"
+    source.write_text(json.dumps({"documents": documents}, indent=1))
+    assert main(["ingest", "--in", str(source), "--out", str(out)]) == 0
+    assert out.read_text() == json.dumps({"documents": documents}, sort_keys=True) + "\n"
 
 
 def test_generate_trace_output(tmp_path, corpus_dir):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import gc
 import json
 import re
+import tracemalloc
+import warnings
 
 import pytest
 
@@ -211,6 +213,45 @@ def test_reader_restores_the_collector(tmp_path, enabled, bad_line):
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
+
+
+def test_first_bad_line_in_file_order_wins(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(("\n".join([_record_line(0), "{", _record_line(1), _record_line(2)])
+                      + "\n").encode().replace(b'"q00002"', b'"q\xe9"'))
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(str(path))}:2: not valid JSON$"):
+        read_records_jsonl(path)
+
+
+@pytest.mark.parametrize("bad_line", [b"{", _record_line(9, template_id="Z99").encode(),
+                                      b'"caf\xe9"'],
+                         ids=["bad-json", "bad-record", "bad-utf8"])
+def test_a_read_that_stops_at_a_bad_line_closes_its_file(tmp_path, bad_line):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(_record_line(0).encode() + b"\n" + bad_line + b"\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SchemaViolation, match=f"^{re.escape(str(path))}:2: "):
+            read_records_jsonl(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_reading_holds_little_more_than_the_records(tmp_path):
+    # The file is read a line at a time: beyond the records it returns, the
+    # read holds about one line, not copies of the whole file.
+    line = _record_line(0)
+    count = 6_000_000 // len(line) + 1
+    path = _record_file(tmp_path, [line] * count)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        records = read_records_jsonl(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size >= 6_000_000 and len(records) == count
+    assert peak - held < size / 4
 
 
 def _writer_cases():

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -115,3 +117,46 @@ def test_jsonl_line_is_accepted_exactly_when_json_loads_accepts_it(tmp_path, tex
     except SchemaViolation:
         got = None
     assert json.dumps(got) == json.dumps(expected)  # NaN equals itself here
+
+
+def _bad_byte_lineno(raw: bytes) -> int:
+    """The line of the first byte that is not UTF-8, numbered as str.splitlines()
+    numbers the whole file (raw decodes elsewhere to text without U+FFFD)."""
+    lines = raw.decode("utf-8", "replace").splitlines()
+    return next(i for i, line in enumerate(lines, start=1) if "\ufffd" in line)
+
+
+@pytest.mark.parametrize("brk", _LINE_BREAKS, ids=repr)
+def test_bad_byte_is_named_with_its_splitlines_lineno(tmp_path, brk):
+    path = tmp_path / "lines.jsonl"
+    lines = [b"[1]", b" ", b'{"a": 2}', b'"caf\xe9"', b"[3]"]
+    raw = brk.encode().join(lines) + b"\n"
+    path.write_bytes(raw)
+    assert _bad_byte_lineno(raw) == 4
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(str(path))}:4: not valid UTF-8$"):
+        jsonl_lines(path, lambda value: value)
+    # an earlier bad line wins, also inside the same \n-ended chunk
+    path.write_bytes(raw.replace(b" ", b"{", 1))
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(str(path))}:2: not valid JSON$"):
+        jsonl_lines(path, lambda value: value)
+
+
+_VALID_LINES = st.lists(st.tuples(st.sampled_from(["", " ", "\t"]),
+                                  JSON_VALUES.map(json.dumps),
+                                  st.sampled_from(_LINE_BREAKS)).map("".join),
+                        min_size=1, max_size=5).map("".join)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_VALID_LINES, st.data())
+def test_one_bad_byte_is_named_with_its_splitlines_lineno(tmp_path, text, data):
+    raw = text.encode("utf-8")
+    offset = data.draw(st.integers(0, len(raw)))
+    raw = raw[:offset] + b"\xff" + raw[offset:]
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(raw)
+    lineno = _bad_byte_lineno(raw)
+    with pytest.raises(SchemaViolation,
+                       match=f"^{re.escape(str(path))}:{lineno}: not valid UTF-8$"):
+        jsonl_lines(path, lambda value: value)
