@@ -41,7 +41,7 @@ from .errors import (
 )
 from .evaluate import breakdown, evaluate, read_predictions_jsonl
 from .generator import GenConfig, generate_corpus, resolve_workers
-from .graphs import build_graphs, explicit_parents
+from .graphs import build_graphs
 from .ingest import (
     decode_json,
     document_from_processed,
@@ -71,16 +71,19 @@ def load_corpus(path) -> list[Document]:
         raw = read_bytes(path)
         with _in_file(path):
             data = decode_json(raw)
+            del raw  # only the decoded tree is needed from here on
             if isinstance(data, dict) and "documents" in data:
-                if not isinstance(data["documents"], list):
+                documents = data["documents"]
+                if not isinstance(documents, list):
                     raise MalformedInput("documents must be a list")
-                loaded = [(path, document_from_processed(d)) for d in data["documents"]]
+                loaded = []
+                for i, document in enumerate(documents):
+                    documents[i] = None  # each dict is released once its Document is built
+                    loaded.append((path, document_from_processed(document)))
             else:
                 loaded = [(path, preprocess_document(parse_document(data)))]
     sources: dict[str, Path] = {}
     for source, doc in loaded:
-        with _in_file(source):
-            explicit_parents(doc)  # a bad parent link fails here, naming its file
         if doc.doc_id in sources:
             raise DuplicateId(f"{source}: document {doc.doc_id!r} was already read "
                               f"from {sources[doc.doc_id]}")
@@ -211,10 +214,9 @@ def _cmd_inspect(args) -> int:
     doc = next((d for d in corpus if d.doc_id == args.doc), None)
     if doc is None:
         raise UnknownDocument(f"no document {args.doc!r} in corpus")
-    pages = {p.index: p for p in doc.pages}
-    if args.page not in pages:
+    if not 0 <= args.page < len(doc.pages):  # a page's index is its position
         raise UnknownPage(f"document {args.doc!r} has no page {args.page}")
-    page = pages[args.page]
+    page = doc.pages[args.page]
     graphs = build_graphs(doc, [page.index])
     spatial = graphs.spatial[page.index]
 
@@ -223,7 +225,7 @@ def _cmd_inspect(args) -> int:
         return 0
 
     print(f"document {doc.doc_id} page {page.index}: {len(page.elements)} elements")
-    for el in sorted(page.elements, key=lambda e: e.page_reading_index):
+    for el in page.elements:
         text = el.text if len(el.text) <= 40 else el.text[:37] + "..."
         print(f"  [{el.page_reading_index:>2}/{el.doc_reading_index:>3}] "
               f"{el.category.value:<14} {el.id:<12} {text!r}")
@@ -231,7 +233,7 @@ def _cmd_inspect(args) -> int:
     for src, dst, rel in sorted(spatial.edge_set()):
         print(f"  {src} -> {dst}: {rel.value}")
     print("parent chains:")
-    for el in sorted(page.elements, key=lambda e: e.page_reading_index):
+    for el in page.elements:
         chain = graphs.logical.ancestors(el.id)
         print(f"  {el.id}: {' -> '.join(chain) if chain else '(root)'}")
     return 0

@@ -7,7 +7,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import CyclicParentInput, DanglingParent, UnknownElement
+from .errors import UnknownElement
 from .geometry import COARSE_ADMITS, SpatialRelation, spatial_relation
 from .ingest import pair_captions
 from .model import Document, ElementCategory, Page
@@ -79,11 +79,10 @@ def title_level(text: str) -> int:
 
 @dataclass(frozen=True)
 class LogicalGraph:
-    """Parent-child forest over a document (virtual root = None)."""
+    """Parent-child forest over a document (virtual root = None), keyed in reading order."""
 
     doc_id: str
     parent_of: dict[str, str | None]
-    doc_order: dict[str, int]
 
     def _check(self, element_id: str) -> None:
         if element_id not in self.parent_of:
@@ -96,8 +95,8 @@ class LogicalGraph:
     @cached_property
     def _children_of(self) -> dict[str | None, tuple[str, ...]]:
         kids: dict[str | None, list[str]] = {}
-        for child in sorted(self.parent_of, key=self.doc_order.__getitem__):
-            kids.setdefault(self.parent_of[child], []).append(child)
+        for child, parent in self.parent_of.items():
+            kids.setdefault(parent, []).append(child)
         return {parent: tuple(ids) for parent, ids in kids.items()}
 
     def children(self, element_id: str) -> tuple[str, ...]:
@@ -140,15 +139,13 @@ def build_logical_graph(doc: Document) -> LogicalGraph:
     """Build the parent-child forest.
 
     Explicit parent_id fields, when any element carries one, are authoritative
-    and used verbatim after validation (explicit_parents). Otherwise section
-    structure is inferred: titles nest by numbering level, body elements
-    attach to the most recent title, captions parent their floats.
+    and used as given, as the loaders checked them. Otherwise section structure
+    is inferred: titles nest by numbering level, body elements attach to the
+    most recent title, captions parent their floats.
     """
-    elements = doc.elements_in_doc_order()
-    doc_order = {el.id: el.doc_reading_index for el in elements}
-    parent_of = explicit_parents(doc)
-    if parent_of is not None:
-        return LogicalGraph(doc.doc_id, parent_of, doc_order)
+    elements = tuple(doc.elements())
+    if any(el.parent_id is not None for el in elements):
+        return LogicalGraph(doc.doc_id, {el.id: el.parent_id for el in elements})
 
     caption_of = _pair_captions(doc)
     parent_of = {}
@@ -167,35 +164,7 @@ def build_logical_graph(doc: Document) -> LogicalGraph:
         else:
             # body, captions, and caption-less floats live inside the section
             parent_of[el.id] = last_title
-    return LogicalGraph(doc.doc_id, parent_of, doc_order)
-
-
-def explicit_parents(doc: Document) -> dict[str, str | None] | None:
-    """Element id -> parent_id, or None when no element of doc carries one.
-
-    Raises DanglingParent or CyclicParentInput, naming the document, unless
-    every parent exists and no parent chain loops.
-    """
-    elements = tuple(doc.elements())
-    if all(el.parent_id is None for el in elements):
-        return None
-    parent_of = {el.id: el.parent_id for el in elements}
-    for el in elements:
-        if el.parent_id is not None and el.parent_id not in parent_of:
-            raise DanglingParent(f"document {doc.doc_id!r}: {el.id!r} references "
-                                 f"unknown parent {el.parent_id!r}")
-    cleared: set[str] = set()
-    for start in parent_of:
-        seen: set[str] = set()
-        cursor: str | None = start
-        while cursor is not None and cursor not in cleared:
-            if cursor in seen:
-                raise CyclicParentInput(f"document {doc.doc_id!r}: parent chain through "
-                                        f"{cursor!r} forms a cycle")
-            seen.add(cursor)
-            cursor = parent_of[cursor]
-        cleared |= seen
-    return parent_of
+    return LogicalGraph(doc.doc_id, parent_of)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 parse_document checks and normalizes one annotation. preprocess_document then
 walks each page once, storing its elements in reading order with both reading
-indices and relabelling captions, and builds the mention index last.
+indices and relabelling captions, and builds the mention index last. Each
+loader checks a document once, as it reads it, parent links included.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, replace
 
-from .errors import DuplicateId, InvalidBBox, MalformedInput
+from .errors import CyclicParentInput, DanglingParent, DuplicateId, InvalidBBox, MalformedInput
 from .geometry import BoundingBox
 from .model import UNASSIGNED, Document, DocElement, ElementCategory, Page, TaskId
 
@@ -61,8 +62,8 @@ def parse_document(raw: bytes | str | dict) -> Document:
 
 
 def _load_document(data, processed: bool) -> Document:
-    """The one page/element loop; with processed set, it also reads both reading
-    indices of each element as it builds it, and then the mention index."""
+    """The one page/element loop, then the parent links; with processed set, it
+    also checks that each reading index equals its position, and reads the mention index."""
     if not isinstance(data, dict):
         raise MalformedInput("document must be a JSON object")
 
@@ -80,11 +81,8 @@ def _load_document(data, processed: bool) -> Document:
     pages_raw = data.get("pages")
     if not isinstance(pages_raw, list):
         raise MalformedInput("pages must be a list")
-    total = sum(len(p["elements"]) for p in pages_raw  # bad pages fail in the loop
-                if isinstance(p, dict) and isinstance(p.get("elements"), list))
 
-    seen_ids: set[str] = set()
-    doc_seen: set[int] = set()
+    parent_of: dict[str, str | None] = {}  # id -> parent_id of every element so far
     pri = dri = UNASSIGNED  # as parse_document leaves them
     pages: list[Page] = []
     for position, page_raw in enumerate(pages_raw):
@@ -102,19 +100,21 @@ def _load_document(data, processed: bool) -> Document:
         if not isinstance(elements_raw, list):
             raise MalformedInput(f"page {position}: elements must be a list")
 
-        page_seen: set[int] = set()
         elements = []
         for el_raw in elements_raw:
             el_id, bbox, category, text, parent_id = _parse_element(el_raw, position,
                                                                     width, height)
-            if el_id in seen_ids:
+            if el_id in parent_of:
                 raise DuplicateId(f"element id {el_id!r} appears more than once")
-            seen_ids.add(el_id)
             if processed:
-                pri = _reading_index(doc_id, el_id, el_raw, "page_reading_index",
-                                     len(elements_raw), page_seen)
-                dri = _reading_index(doc_id, el_id, el_raw, "doc_reading_index",
-                                     total, doc_seen)
+                pri, dri = len(elements), len(parent_of)
+                for key, want in (("page_reading_index", pri), ("doc_reading_index", dri)):
+                    got = el_raw.get(key)
+                    if type(got) is not int or got != want:  # bool is no index
+                        raise MalformedInput(
+                            f"document {doc_id!r}: element {el_id!r}: {key} must be {want} "
+                            f"(pages store their elements in reading order), got {got!r}")
+            parent_of[el_id] = parent_id
             elements.append(DocElement(id=el_id, page_index=position, bbox=bbox,
                                        category=category, text=text, parent_id=parent_id,
                                        page_reading_index=pri, doc_reading_index=dri))
@@ -131,12 +131,34 @@ def _load_document(data, processed: bool) -> Document:
                 raise MalformedInput(f"document {doc_id!r}: mention_index entry {label!r} "
                                      f"must be a list of element ids")
             for el_id in el_ids:
-                if not isinstance(el_id, str) or el_id not in seen_ids:
+                if not isinstance(el_id, str) or el_id not in parent_of:
                     raise MalformedInput(f"document {doc_id!r}: mention_index entry "
                                          f"{label!r} names unknown element {el_id!r}")
         mention_index = {k: tuple(v) for k, v in sorted(mentions.items())}
+    _check_parents(doc_id, parent_of)
     return Document(doc_id=doc_id, pages=tuple(pages), references=tuple(references),
                     mention_index=mention_index)
+
+
+def _check_parents(doc_id: str, parent_of: dict[str, str | None]) -> None:
+    """Raise DanglingParent or CyclicParentInput, naming the document, unless
+    every parent_id names an element of it and no parent chain loops."""
+    links = {el_id: parent for el_id, parent in parent_of.items() if parent is not None}
+    for el_id, parent in links.items():
+        if parent not in parent_of:
+            raise DanglingParent(f"document {doc_id!r}: {el_id!r} references "
+                                 f"unknown parent {parent!r}")
+    cleared: set[str] = set()
+    for start in links:  # only linked elements can lie on a cycle
+        seen: set[str] = set()
+        cursor: str | None = start
+        while cursor is not None and cursor not in cleared:
+            if cursor in seen:
+                raise CyclicParentInput(f"document {doc_id!r}: parent chain through "
+                                        f"{cursor!r} forms a cycle")
+            seen.add(cursor)
+            cursor = links.get(cursor)
+        cleared |= seen
 
 
 def _is_positive_number(v) -> bool:
@@ -283,7 +305,7 @@ def build_mention_index(doc: Document) -> Document:
     keys = [(key, re.compile(r"(?<![A-Za-z0-9])" + re.escape(key) + r"(?![A-Za-z0-9])"))
             for key in dict.fromkeys(doc.references)]
     index: dict[str, list[str]] = {}
-    for el in doc.elements_in_doc_order():
+    for el in doc.elements():
         if el.category not in (ElementCategory.TEXT, ElementCategory.LIST):
             continue
         labels = set()
@@ -387,18 +409,7 @@ def document_to_processed(doc: Document) -> dict:
 
 
 def document_from_processed(data: dict) -> Document:
-    """Inverse of document_to_processed. Reading indices must number each
-    page's elements 0..n-1 and the document's 0..N-1; the mention index must
-    map each label to a list of the document's element ids."""
+    """Inverse of document_to_processed. Pages store their elements in reading order, so
+    each reading index must equal the element's position on its page and in the document;
+    the mention index must map each label to a list of the document's element ids."""
     return _load_document(data, processed=True)
-
-
-def _reading_index(doc_id: str, el_id: str, el_raw: dict, key: str, count: int,
-                   seen: set[int]) -> int:
-    """el_raw[key], if it is an int in 0..count-1 that no element in seen took."""
-    value = el_raw.get(key)
-    if type(value) is not int or not 0 <= value < count or value in seen:  # bool is no index
-        raise MalformedInput(f"document {doc_id!r}: element {el_id!r}: {key} must be a "
-                             f"distinct integer in 0..{count - 1}, got {value!r}")
-    seen.add(value)
-    return value

@@ -78,6 +78,7 @@ class Document:
     mention_index: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def elements(self):
+        """Page by page, each page in reading order once preprocessed or loaded."""
         for page in self.pages:
             yield from page.elements
 
@@ -89,10 +90,3 @@ class Document:
     @cached_property
     def by_id(self) -> dict[str, DocElement]:
         return {el.id: el for el in self.elements()}
-
-    @cached_property
-    def _doc_order(self) -> tuple[DocElement, ...]:
-        return tuple(sorted(self.elements(), key=lambda e: e.doc_reading_index))
-
-    def elements_in_doc_order(self) -> tuple[DocElement, ...]:
-        return self._doc_order

@@ -188,17 +188,15 @@ def compile_program(tpl: QuestionTemplate, binding: dict) -> FunctionalProgram:
 class Scope:
     """What a program runs over: one page of doc, or all of doc when page is None.
 
-    Its lookup tables are built once. An element set is an int bitmask: bit i
-    stands for elements[i], so set order is reading order and the set
-    operations are integer operations.
+    Its elements are stored in reading order, as the loaders check, and its
+    lookup tables are built once. An element set is an int bitmask: bit i
+    stands for elements[i], so set order is reading order and set operations
+    are integer operations.
     """
 
     def __init__(self, doc: Document, page: Page | None = None):
         self.doc, self.page = doc, page
-        if page is None:
-            self.elements = doc.elements_in_doc_order()
-        else:
-            self.elements = tuple(sorted(page.elements, key=lambda e: e.page_reading_index))
+        self.elements = tuple(doc.elements()) if page is None else page.elements
         self.position = {el.id: i for i, el in enumerate(self.elements)}
         self.everything = (1 << len(self.elements)) - 1
         self.category: dict[ElementCategory, int] = {}
@@ -262,11 +260,8 @@ _NA = object()
 
 def _owning_title(el: DocElement, graphs: GraphBundle,
                   by_id: dict[str, DocElement]) -> DocElement | None:
-    for ancestor_id in graphs.logical.ancestors(el.id):
-        ancestor = by_id.get(ancestor_id)
-        if ancestor is not None and ancestor.category == ElementCategory.TITLE:
-            return ancestor
-    return None
+    ancestors = (by_id[ancestor_id] for ancestor_id in graphs.logical.ancestors(el.id))
+    return next((a for a in ancestors if a.category == ElementCategory.TITLE), None)
 
 
 def _described_by(el: DocElement, graphs: GraphBundle,
@@ -274,8 +269,7 @@ def _described_by(el: DocElement, graphs: GraphBundle,
     if el.category == ElementCategory.TITLE or el.category.is_caption:
         return el
     if el.category.is_float:
-        parent_id = graphs.logical.parent(el.id)
-        parent = by_id.get(parent_id) if parent_id else None
+        parent = by_id.get(graphs.logical.parent(el.id))  # None at the root
         wanted = el.category.caption_kind
         return parent if parent is not None and parent.category == wanted else None
     return _owning_title(el, graphs, by_id)

@@ -117,7 +117,7 @@ def _page_order(page: Page):
 
 
 def _doc_order(doc: Document):
-    return doc.elements_in_doc_order()
+    return sorted(doc.elements(), key=lambda e: e.doc_reading_index)
 
 
 def _uses_explicit_parents(doc: Document) -> bool:

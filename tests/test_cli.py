@@ -348,10 +348,10 @@ def _doc_reading_index_repeated_on_a_later_page(doc):
 
 @pytest.mark.parametrize("corrupt, message", [
     (_true_reading_index, "document 'synt00900': element 's0x0': page_reading_index "
-                          "must be a distinct integer in 0..5, got True"),
+                          "must be 0 (pages store their elements in reading order), got True"),
     (_doc_reading_index_repeated_on_a_later_page,
      "document 'synt00900': element 's1x6': doc_reading_index "
-     "must be a distinct integer in 0..12, got 0"),
+     "must be 6 (pages store their elements in reading order), got 0"),
 ])
 def test_bad_reading_index_message(tmp_path, corpus_dir, capsys, corrupt, message):
     processed = tmp_path / "corpus.json"
@@ -364,6 +364,23 @@ def test_bad_reading_index_message(tmp_path, corpus_dir, capsys, corrupt, messag
                  "--seed", "1"])
     assert code == 1
     assert capsys.readouterr().err == f"error: MalformedInput: {processed}: {message}\n"
+
+
+def test_elements_stored_out_of_reading_order_are_rejected(tmp_path, corpus_dir, capsys):
+    processed = tmp_path / "corpus.json"
+    assert main(["ingest", "--in", str(corpus_dir / "synth.json"), "--out", str(processed)]) == 0
+    payload = json.loads(processed.read_text())
+    elements = payload["documents"][0]["pages"][0]["elements"]
+    elements[0], elements[1] = elements[1], elements[0]  # each keeps its reading indices
+    processed.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["generate", "--in", str(processed), "--out", str(tmp_path / "r.jsonl"),
+                 "--seed", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: MalformedInput: {processed}: document 'synt00900': element "
+        f"{elements[0]['id']!r}: page_reading_index must be 0 (pages store their "
+        f"elements in reading order), got 1\n")
 
 
 def test_trace_runs_no_program_twice(tmp_path, corpus_dir, monkeypatch):

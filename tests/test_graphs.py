@@ -113,7 +113,7 @@ def test_title_level_inference(text, level):
 
 def test_methods_children_are_its_subsection_titles(hierarchy_doc):
     graph = build_logical_graph(hierarchy_doc)
-    elements = hierarchy_doc.elements_in_doc_order()
+    elements = sorted(hierarchy_doc.elements(), key=lambda e: e.doc_reading_index)
     methods = next(el for el in elements if el.text == "2. Methods")
     child_ids = graph.children(methods.id)
     child_indices = {
@@ -167,17 +167,15 @@ def test_explicit_cycle_rejected():
     annotation = stack_annotation("d", [[("text", "a"), ("text", "b")]])
     annotation["pages"][0]["elements"][0]["parent_id"] = "e1"
     annotation["pages"][0]["elements"][1]["parent_id"] = "e0"
-    doc = build_document(annotation)
     with pytest.raises(CyclicParentInput):
-        build_logical_graph(doc)
+        build_logical_graph(build_document(annotation))
 
 
 def test_dangling_parent_rejected():
     annotation = stack_annotation("d", [[("text", "a")]])
     annotation["pages"][0]["elements"][0]["parent_id"] = "ghost"
-    doc = build_document(annotation)
     with pytest.raises(DanglingParent):
-        build_logical_graph(doc)
+        build_logical_graph(build_document(annotation))
 
 
 def test_unknown_element_queries_raise(hierarchy_doc):

@@ -7,7 +7,13 @@ import pytest
 
 from conftest import build_document, stack_annotation
 from synthcorpus import random_annotation
-from docqa_forge.errors import DuplicateId, InvalidBBox, MalformedInput
+from docqa_forge.errors import (
+    CyclicParentInput,
+    DanglingParent,
+    DuplicateId,
+    InvalidBBox,
+    MalformedInput,
+)
 from docqa_forge.ingest import (
     document_from_processed,
     document_to_processed,
@@ -59,6 +65,20 @@ def test_parse_rejects_duplicate_ids():
             element("e1", "title", [10, 5, 90, 10]),
             element("e1", "text", [10, 20, 90, 30]),
         ])))
+
+
+@pytest.mark.parametrize("parents, error, message", [
+    ({"e1": "ghost"}, DanglingParent, "document 'links': 'e1' references unknown parent 'ghost'"),
+    ({"e0": "e1", "e1": "e0"}, CyclicParentInput, "document 'links': parent chain through "),
+])
+def test_parse_rejects_bad_parent_links(parents, error, message):
+    data = one_page([element("e0", "title", [10, 5, 90, 10]),
+                     element("e1", "text", [10, 20, 90, 30])], doc_id="links")
+    for el in data["pages"][0]["elements"]:
+        el["parent_id"] = parents.get(el["id"])
+    with pytest.raises(error) as caught:
+        parse_document(json.dumps(data))
+    assert str(caught.value).startswith(message)
 
 
 @pytest.mark.parametrize("mutation", [

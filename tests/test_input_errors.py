@@ -143,6 +143,15 @@ def test_bad_parent_link_names_file_and_document(tmp_path, capsys, workers,
     assert f"error: {error}: {bad}: document 'bad-doc': " in err and named in err
 
 
+def test_bad_parent_link_is_reported_before_a_later_file_is_read(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.json").write_text(json.dumps(_with_parent("a-doc", {"e1": "zz"})))
+    (corpus / "b.json").write_text("{not json")
+    err = run(["generate", "--in", corpus, "--out", tmp_path / "r.jsonl", "--seed", 1], capsys)
+    assert f"error: DanglingParent: {corpus / 'a.json'}: document 'a-doc': " in err
+
+
 # --- output paths under a regular file --------------------------------------------
 
 @pytest.mark.parametrize("command", ["generate", "split", "ingest", "templates"])
