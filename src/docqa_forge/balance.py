@@ -1,10 +1,10 @@
 """Two-stage distribution balancing: answers first, then parameter combos.
 
-Both stages down-sample inside (task, pattern) groups, never across them,
-and never touch Task C (its parameter values are nearly unique document
-texts, so balancing would only destroy data). Survivor selection ranks
-records by a seeded hash, which keeps results identical regardless of
-machine, worker count, or input chunking.
+Both stages cap buckets inside (task, pattern text) groups, never across them,
+and never touch Task C, whose parameter values are nearly unique document texts
+(balancing them would only destroy data). One pass files each A/B qid under its
+group and bucket, for a stage or for the report. Survivors are ranked by a seeded
+qid hash, so results are identical for any machine, worker count or input order.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import check_range
 from .generator import QARecord
@@ -32,20 +33,10 @@ class BalanceConfig:
         check_range("param_ratio", self.param_ratio, 1)
 
 
-def _grouped(records):
-    registry = load_templates()
-    groups: dict[tuple[str, str], list[QARecord]] = {}
-    for record in records:
-        pattern = registry.by_id(record.template_id).pattern
-        groups.setdefault((record.task.value, pattern), []).append(record)
-    return groups
-
-
-def _survivors(members: list[QARecord], cap: int, seed: int, salt: str) -> set[str]:
-    if len(members) <= cap:
-        return {r.qid for r in members}
-    ranked = sorted(members, key=lambda r: (stable_unit(seed, salt, r.qid), r.qid))
-    return {r.qid for r in ranked[:cap]}
+@lru_cache(maxsize=1)
+def _group_of() -> dict[str, tuple[str, str]]:
+    """template_id -> its balance group (task, pattern text)."""
+    return {t.template_id: (t.task.value, t.pattern) for t in load_templates()}
 
 
 def _answer_class(record: QARecord) -> str:
@@ -56,20 +47,27 @@ def _combo(record: QARecord) -> str:
     return canonical_binding(record.binding)
 
 
+def _buckets(records, bucket_of) -> dict[tuple[str, str], dict[str, list[str]]]:
+    """group -> bucket_of(record) -> qids, in input order, of every A/B record."""
+    groups: dict[tuple[str, str], dict[str, list[str]]] = {}
+    for r in records:
+        if r.task is not TaskId.C:
+            group = groups.setdefault(_group_of()[r.template_id], {})
+            group.setdefault(bucket_of(r), []).append(r.qid)
+    return groups
+
+
 def _balance_stage(records, cfg: BalanceConfig, stage: str, bucket_of, cap_of):
     """Cap every bucket of every A/B group at cap_of(bucket sizes); Task C passes."""
     keep: set[str] = set()
-    for (task, pattern), members in _grouped(records).items():
-        if task == TaskId.C.value:
-            keep.update(r.qid for r in members)
-            continue
-        buckets: dict[str, list[QARecord]] = {}
-        for r in members:
-            buckets.setdefault(bucket_of(r), []).append(r)
-        cap = cap_of([len(rs) for rs in buckets.values()])
-        for bucket, rs in buckets.items():
-            keep.update(_survivors(rs, cap, cfg.seed, f"{stage}|{task}|{pattern}|{bucket}"))
-    return [r for r in records if r.qid in keep]
+    for (task, pattern), buckets in _buckets(records, bucket_of).items():
+        cap = cap_of([len(qids) for qids in buckets.values()])
+        for bucket, qids in buckets.items():
+            if len(qids) > cap:
+                salt = f"{stage}|{task}|{pattern}|{bucket}"
+                qids = sorted(qids, key=lambda q: (stable_unit(cfg.seed, salt, q), q))[:cap]
+            keep.update(qids)
+    return [r for r in records if r.task is TaskId.C or r.qid in keep]
 
 
 def balance_answers(records: list[QARecord], cfg: BalanceConfig) -> list[QARecord]:
@@ -86,41 +84,22 @@ def balance_parameters(records: list[QARecord], cfg: BalanceConfig) -> list[QARe
 
 
 def reduction_factor(before: int, after: int) -> float | None:
-    if after == 0:
-        return None
-    return round(before / after, 2)
-
-
-def _skew(members, bucket_of, typical) -> float:
-    """Largest bucket size over typical(sorted bucket sizes) in one nonempty group."""
-    sizes = Counter(bucket_of(r) for r in members)
-    return max(sizes.values()) / typical(sorted(sizes.values()))
+    return None if after == 0 else round(before / after, 2)
 
 
 def balance_report(before: list[QARecord], after: list[QARecord]) -> dict:
-    """Per-task shrinkage plus worst remaining skew ratios across groups."""
-    report: dict = {"tasks": {}}
-    for task in TaskId:
-        n_before = sum(1 for r in before if r.task == task)
-        n_after = sum(1 for r in after if r.task == task)
-        report["tasks"][task.value] = {
-            "before": n_before,
-            "after": n_after,
-            "reduction_factor": reduction_factor(n_before, n_after),
-        }
-    groups = _grouped(after)
+    """Per-task shrinkage plus the worst skew ratio left in any A/B group."""
+    n_before = Counter(r.task.value for r in before)
+    n_after = Counter(r.task.value for r in after)
+    report: dict = {"tasks": {
+        t.value: {"before": n_before[t.value], "after": n_after[t.value],
+                  "reduction_factor": reduction_factor(n_before[t.value], n_after[t.value])}
+        for t in TaskId}}
     for name, bucket_of, typical in (("answer_class_ratio", _answer_class, min),
                                      ("param_combo_ratio", _combo, statistics.median)):
-        per_task: dict[str, float | None] = {}
-        for task in TaskId:
-            if task == TaskId.C:
-                per_task[task.value] = None
-                continue
-            ratios = [
-                _skew(members, bucket_of, typical)
-                for (t, _), members in groups.items()
-                if t == task.value
-            ]
-            per_task[task.value] = round(max(ratios), 4) if ratios else None
-        report[name] = per_task
+        ratios: dict[str, list[float]] = {t.value: [] for t in TaskId}
+        for (task, _), buckets in _buckets(after, bucket_of).items():
+            sizes = sorted(len(qids) for qids in buckets.values())
+            ratios[task].append(sizes[-1] / typical(sizes))
+        report[name] = {task: round(max(rs), 4) if rs else None for task, rs in ratios.items()}
     return report

@@ -197,7 +197,16 @@ def jsonl_lines(path, parse) -> list:
 
 
 def read_records_jsonl(path) -> list[QARecord]:
-    return jsonl_lines(path, record_from_json)
+    """The file's records in order; a second record with the same qid is a SchemaViolation."""
+    seen: dict[str, None] = {}  # a dict holds the qids in about half a set's memory
+
+    def parse(data) -> QARecord:
+        record = record_from_json(data)
+        if record.qid in seen:
+            raise SchemaViolation(f"duplicate record for qid {record.qid!r}")
+        seen[record.qid] = None
+        return record
+    return jsonl_lines(path, parse)
 
 
 def atomic_write_lines(path, lines) -> None:

@@ -164,3 +164,31 @@ def test_adversarial_skew_bound():
         yes = sum(1 for r in group if r.answer.value == "yes")
         no = sum(1 for r in group if r.answer.value == "no")
         assert yes == math.ceil(cfg.answer_ratio * 5) and no == 5
+
+
+def test_report_skew_ratios_by_hand():
+    # A12: answers yes 7 / no 2 = 3.5; combos table 7 / median(2, 7) = 7 / 4.5
+    # A13: answers yes 3 / no 2 = 1.5; combos list 3 / median(1, 1, 3) = 3.0
+    # B01: answers 0: 7 / 1: 6 = 7 / 6; combos first 7 / median(3, 3, 7) = 7 / 3
+    rows = ([("A12", "yes", "table")] * 5 + [("A12", "yes", "figure")] * 2
+            + [("A12", "no", "table")] * 2 + [("A13", "yes", "list")] * 3
+            + [("A13", "no", "table"), ("A13", "no", "figure")])
+    records = [rec(i, template_id=t, answer=a, binding={"E": e})
+               for i, (t, a, e) in enumerate(rows)]
+    for i, (index, turn) in enumerate([(0, "first")] * 7 + [(1, "second")] * 3
+                                      + [(1, "third")] * 3):
+        records.append(rec(100 + i, template_id="B01", task=TaskId.B,
+                           qtype=QuestionType.STRUCTURAL_UNDERSTANDING,
+                           answer=AnswerValue.index(index), binding={"turn": turn}))
+    records += [rec(200 + i, template_id="C06", task=TaskId.C,
+                    qtype=QuestionType.PARENT_RELATION, answer=AnswerValue.index_set({i}),
+                    binding={"E": f"Table {i}"}) for i in range(3)]
+    report = balance_report(records, records)
+    assert report["answer_class_ratio"] == {"A": 3.5, "B": 1.1667, "C": None}
+    assert report["param_combo_ratio"] == {"A": 3.0, "B": 2.3333, "C": None}
+
+    # a task with no records left after balancing has no skew to report
+    report = balance_report(records, [r for r in records if r.task != TaskId.B])
+    assert report["tasks"]["B"] == {"before": 13, "after": 0, "reduction_factor": None}
+    assert report["answer_class_ratio"] == {"A": 3.5, "B": None, "C": None}
+    assert report["param_combo_ratio"] == {"A": 3.0, "B": None, "C": None}

@@ -480,6 +480,27 @@ def test_duplicate_prediction_qid_is_named_in_the_error(tmp_path, capsys):
     assert f"error: SchemaViolation: {pred}:3: duplicate prediction for qid 'q1'" in err
 
 
+@pytest.mark.parametrize("command", ["balance", "split", "stats", "eval"])
+def test_duplicate_record_qid_is_named_in_the_error(tmp_path, capsys, command):
+    # a repeated gold record would otherwise be scored, balanced and split twice
+    records = tmp_path / "test.jsonl"
+    records.write_text("".join(_a01_line(i) + "\n" for i in (1, 2, 1)))
+    argv = {
+        "balance": ["balance", "--in", str(records), "--out", str(tmp_path / "b.jsonl"),
+                    "--seed", "1"],
+        "split": ["split", "--in", str(records), "--out-dir", str(tmp_path / "ds"),
+                  "--ratios", "0.5,0.25,0.25", "--seed", "1"],
+        "stats": ["stats", "--in", str(records)],
+        "eval": ["eval", "--gold", str(records), "--pred", str(records)],
+    }[command]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: SchemaViolation: {records}:3: duplicate record for qid 'q1'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "b.jsonl").exists() and not (tmp_path / "ds").exists()
+
+
 @pytest.mark.parametrize("second", ["".join(_a01_line(i) + "\n" for i in range(5)), "{\n"],
                          ids=["good", "bad-line"])
 def test_stats_rejects_a_repeated_split_name(tmp_path, capsys, second):

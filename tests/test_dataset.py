@@ -239,10 +239,10 @@ def test_a_read_that_stops_at_a_bad_line_closes_its_file(tmp_path, bad_line):
 
 def test_reading_holds_little_more_than_the_records(tmp_path):
     # The file is read a line at a time: beyond the records it returns, the
-    # read holds about one line, not copies of the whole file.
-    line = _record_line(0)
-    count = 6_000_000 // len(line) + 1
-    path = _record_file(tmp_path, [line] * count)
+    # read holds about one line, not copies of the whole file. Each record has
+    # its own qid, as a record file must.
+    count = 6_000_000 // len(_record_line(0)) + 1
+    path = _record_file(tmp_path, [_record_line(i) for i in range(count)])
     size = path.stat().st_size
     tracemalloc.start()
     try:

@@ -1,17 +1,23 @@
-"""Property tests of the input layer: annotation and processed documents, JSONL lines."""
+"""Property tests of the input layer (annotation and processed documents, JSONL
+lines) and of the order-free balance and split."""
 
 from __future__ import annotations
 
 import json
+import random
 import re
+from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference import balance
 from synthcorpus import random_processed_document
-from docqa_forge.dataset import jsonl_lines
+from docqa_forge.balance import BalanceConfig, balance_report
+from docqa_forge.dataset import jsonl_lines, split_corpus
 from docqa_forge.errors import ForgeError, SchemaViolation
+from docqa_forge.generator import GenConfig, generate_corpus
 from docqa_forge.ingest import (
     document_from_processed,
     document_to_processed,
@@ -160,3 +166,34 @@ def test_one_bad_byte_is_named_with_its_splitlines_lineno(tmp_path, text, data):
     with pytest.raises(SchemaViolation,
                        match=f"^{re.escape(str(path))}:{lineno}: not valid UTF-8$"):
         jsonl_lines(path, lambda value: value)
+
+
+_BALANCE = BalanceConfig(seed=7)
+_RATIOS = (0.7, 0.1, 0.2)
+
+
+def _split_qids(records):
+    return [{r.qid for r in split.records} for split in split_corpus(records, _RATIOS, 7)]
+
+
+@lru_cache(maxsize=1)
+def _generated():
+    """A generated record list in generation order, and what balance and split make of it."""
+    docs = [random_processed_document(seed, n_pages=3) for seed in range(4)]
+    records = generate_corpus(docs, GenConfig(seed=7), max_workers=1).records
+    kept = balance(records, _BALANCE)
+    assert 0 < len(kept) < len(records)  # some buckets are capped
+    return records, kept, balance_report(records, kept), _split_qids(kept)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_balance_and_split_do_not_depend_on_input_order(seed):
+    records, kept, report, split_qids = _generated()
+    shuffled = list(records)
+    random.Random(seed).shuffle(shuffled)
+    kept_shuffled = balance(shuffled, _BALANCE)
+    kept_qids = {r.qid for r in kept}
+    assert [r.qid for r in kept_shuffled] == [r.qid for r in shuffled if r.qid in kept_qids]
+    assert balance_report(shuffled, kept_shuffled) == report
+    assert _split_qids(kept_shuffled) == split_qids
