@@ -112,16 +112,21 @@ def _json_value(value) -> str:
     return json.dumps(value)
 
 
+_CLASS_MEMBERS = {(task, qtype): f'"task": {_quote(task.value)}, "qtype": {_quote(qtype.value)}'
+                  for task in TaskId for qtype in QuestionType}
+
+
 def _record_line(r: QARecord) -> str:
     """The record as one JSON line, equal to json.dumps(ensure_ascii=True) of
     its dict (tests/test_dataset.py checks this) but built directly. Binding
     keys are strings."""
-    binding = ", ".join([f"{_quote(k)}: {_json_value(v)}" for k, v in r.binding.items()])
+    binding = ", ".join([f"{_quote(k)}: {_quote(v) if type(v) is str else _json_value(v)}"
+                         for k, v in r.binding.items()])
     page = "null" if r.page_index is None else _json_value(r.page_index)
     answer = r.answer
     value = "null" if answer.value is None else _json_value(answer.value)
-    return (f'{{"qid": {_quote(r.qid)}, "task": {_quote(r.task.value)}, '
-            f'"qtype": {_quote(r.qtype.value)}, "doc_id": {_quote(r.doc_id)}, "page": {page}, '
+    return (f'{{"qid": {_quote(r.qid)}, {_CLASS_MEMBERS[r.task, r.qtype]}, '
+            f'"doc_id": {_quote(r.doc_id)}, "page": {page}, '
             f'"question": {_quote(r.question)}, "template_id": {_quote(r.template_id)}, '
             f'"bindings": {{{binding}}}, '
             f'"answer": {{"kind": {_quote(answer.kind)}, "value": {value}}}}}')
@@ -351,8 +356,14 @@ def check_split_names(names) -> None:
 
 
 def compute_stats(splits) -> dict:
-    """Descriptive statistics over the union of all splits, which need distinct names."""
+    """Descriptive statistics over the union of all splits, which need distinct names and qids."""
     check_split_names(split.name for split in splits)
+    split_of: dict[str, str] = {}
+    for split in splits:
+        for r in split.records:
+            if split_of.setdefault(r.qid, split.name) != split.name:
+                raise SchemaViolation(f"qid {r.qid!r} appears in splits "
+                                      f"{split_of[r.qid]!r} and {split.name!r}")
     all_records = [r for split in splits for r in split.records]
     qtype_counts = count_by_type(all_records)
     report: dict = {"splits": {}, "tasks": {}}

@@ -7,9 +7,11 @@ number of workers and merged back in doc_id order without changing a byte.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -89,10 +91,12 @@ class GenerationResult:
 def make_qid(doc_id: str, page_index: int | None, template_id: str, binding: dict, *,
              key: str | None = None) -> str:
     """The record id; key is the binding's canonical_binding, if the caller has it."""
-    page_part = "" if page_index is None else page_index
     if key is None:
         key = canonical_binding(binding)
-    return stable_hex("qid", doc_id, page_part, template_id, key)
+    page_part = "" if page_index is None else page_index
+    # the payload of stable_hex("qid", doc_id, page_part, template_id, key)
+    payload = f"qid\x1f{doc_id}\x1f{page_part}\x1f{template_id}\x1f{key}"
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _evaluate_group(tpl, scope, graphs) -> list[tuple]:
@@ -139,18 +143,18 @@ def _generate_scope(templates, scope, graphs, cfg: GenConfig) -> list[QARecord]:
         rows = evaluated.get(tpl.group)
         if rows is None:
             rows = evaluated[tpl.group] = _evaluate_group(tpl, scope, graphs)
-        for binding, key, answer, sizes in _cap_rows(rows, cfg, doc_id, page_index,
-                                                      tpl.template_id):
+        task, qtype, template_id = tpl.task, tpl.qtype, tpl.template_id
+        for binding, key, answer, sizes in _cap_rows(rows, cfg, doc_id, page_index, template_id):
             if answer is None:
                 continue
-            qid = make_qid(doc_id, page_index, tpl.template_id, binding, key=key)
-            if answer.kind == "na" and stable_unit(cfg.seed, "na", qid) >= cfg.na_retention:
-                continue
+            qid = make_qid(doc_id, page_index, template_id, binding, key=key)
+            if answer.kind == "na":  # the payload of stable_unit(cfg.seed, "na", qid)
+                digest = hashlib.sha256(f"{cfg.seed}\x1fna\x1f{qid}".encode()).digest()
+                if int.from_bytes(digest[:8], "big") / 2.0 ** 64 >= cfg.na_retention:
+                    continue
             question = instantiate(tpl, binding, cfg.seed, validated=True, key=key)
-            records.append(QARecord(qid=qid, task=tpl.task, qtype=tpl.qtype, doc_id=doc_id,
-                                    page_index=page_index, question=question.text,
-                                    template_id=tpl.template_id, binding=dict(binding),
-                                    answer=answer, step_sizes=sizes))
+            records.append(QARecord(qid, task, qtype, doc_id, page_index, question.text,
+                                    template_id, dict(binding), answer, sizes))
     return records
 
 
@@ -219,11 +223,8 @@ def generate_corpus(corpus, cfg: GenConfig, max_workers: int | None = None) -> G
 
 def count_by_type(records) -> dict:
     """Question counts in the per-task, per-type report shape."""
-    counts: dict[str, dict[str, int]] = {}
-    for task in TaskId:
-        counts[task.value] = {
-            qtype.value: 0 for qtype in QuestionType if qtype.task == task
-        }
-    for record in records:
-        counts[record.task.value][record.qtype.value] += 1
+    counts = {task.value: {qtype.value: 0 for qtype in QuestionType if qtype.task == task}
+              for task in TaskId}
+    for qtype, n in Counter(r.qtype for r in records).items():
+        counts[qtype.task.value][qtype.value] = n
     return counts

@@ -4,6 +4,10 @@ All sampling decisions in the pipeline (synonym picks, NA retention,
 down-sampling survivors) derive from sha256 over explicit strings, so results
 are identical across machines, Python versions, process counts, and record
 arrival order.
+
+Hot callers (make_qid, the N/A draw, the synonym pick) format the same payload
+in one f-string, valid as their parts are str or int, whose format() is str();
+tests/test_generator.py::test_inlined_hashes_equal_the_stable_helpers pins them.
 """
 
 from __future__ import annotations

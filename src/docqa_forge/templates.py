@@ -4,11 +4,12 @@
 15 for Task B (10 structural understanding + 5 object recognition), and 15 for
 Task C (5 child relation + 10 parent relation). Pattern strings are stored
 verbatim; surface morphology (pluralization, a/an, quoting, relation phrasing)
-is applied at render time per slot.
+is applied at render time per slot, from tables each template builds once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import re
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ from functools import cached_property, lru_cache
 from .errors import IncompleteBinding, TypeMismatch
 from .geometry import REGION_NAMES, in_region
 from .graphs import GraphBundle
-from .hashing import stable_int
 from .model import QUESTION_LABELS, Document, ElementCategory, Page, TaskId
 
 # Phrasal surfaces for [R] slots; the first entry is the canonical phrase.
@@ -99,6 +99,15 @@ class QuestionTemplate:
         parts = re.split(r"\[(\w+)\]", self.pattern)
         slots = {s.name: s for s in self.slots}
         return tuple(parts[0::2]), tuple(slots[name] for name in parts[1::2])
+
+    @cached_property
+    def _render_steps(self) -> tuple[str, tuple[tuple[SlotSpec, dict | None, str], ...]]:
+        """The first literal, then (slot, value -> surfaces or None, next literal) per slot."""
+        literals, slots = self.pieces
+        return literals[0], tuple(
+            (slot, {value: _renderings(slot, value) for value in SLOT_VALUES[slot.kind]}
+             if slot.kind in SLOT_VALUES else None, literal)
+            for slot, literal in zip(slots, literals[1:]))
 
 
 @dataclass(frozen=True)
@@ -284,20 +293,6 @@ def _renderings(slot: SlotSpec, value) -> tuple[str, ...]:
     return (f"{value}s" if slot.plural else str(value),)
 
 
-def _surface(slot: SlotSpec, value, template_id: str, key: str, seed: int) -> str:
-    if slot.kind in SLOT_VALUES:
-        options = _renderings(slot, value)
-        if len(options) == 1:
-            return options[0]
-        pick = stable_int(seed, template_id, key, slot.name)
-        return options[pick % len(options)]
-    text = f"'{value}'" if slot.quoted else str(value)
-    if slot.article:
-        article = "an" if str(value)[:1] in _VOWELS else "a"
-        text = f"{article} {text}"
-    return text
-
-
 def validate_binding(tpl: QuestionTemplate, binding: dict) -> None:
     """Raise IncompleteBinding / TypeMismatch unless the binding fits the template."""
     for slot in tpl.slots:
@@ -305,7 +300,8 @@ def validate_binding(tpl: QuestionTemplate, binding: dict) -> None:
             raise IncompleteBinding(f"binding for {tpl.template_id} is missing [{slot.name}]")
         value = binding[slot.name]
         if slot.kind in SLOT_VALUES:
-            ok = value in SLOT_VALUES[slot.kind]
+            # exactly str or int: True == 1 and 1.0 == 1, but they render otherwise
+            ok = type(value) in (str, int) and value in SLOT_VALUES[slot.kind]
         else:
             ok = isinstance(value, str) and bool(value)
         if not ok:
@@ -324,12 +320,25 @@ def instantiate(tpl: QuestionTemplate, binding: dict, seed: int, *,
         validate_binding(tpl, binding)
     if key is None:
         key = canonical_binding(binding)
-    literals, slots = tpl.pieces
-    parts = [literals[0]]
-    for slot, literal in zip(slots, literals[1:]):
-        parts.append(_surface(slot, binding[slot.name], tpl.template_id, key, seed))
+    head, steps = tpl._render_steps
+    parts = [head]
+    for slot, surfaces, literal in steps:
+        value = binding[slot.name]
+        if surfaces is not None:
+            options = surfaces[value]
+            if len(options) == 1:
+                text = options[0]
+            else:  # the payload of stable_int(seed, template_id, key, slot.name)
+                digest = hashlib.sha256(
+                    f"{seed}\x1f{tpl.template_id}\x1f{key}\x1f{slot.name}".encode()).digest()
+                text = options[int.from_bytes(digest[:8], "big") % len(options)]
+        else:
+            text = f"'{value}'" if slot.quoted else str(value)
+            if slot.article:
+                text = f"{'an' if str(value)[:1] in _VOWELS else 'a'} {text}"
+        parts.append(text)
         parts.append(literal)
-    return QuestionString(text="".join(parts), template_id=tpl.template_id)
+    return QuestionString("".join(parts), tpl.template_id)
 
 
 # ---------------------------------------------------------------------------

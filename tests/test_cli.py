@@ -518,6 +518,16 @@ def test_stats_rejects_a_repeated_split_name(tmp_path, capsys, second):
     assert "Traceback" not in err
 
 
+def test_stats_rejects_a_qid_in_two_splits(tmp_path, capsys):
+    lines = {"train": [_a01_line(1), _a01_line(2)], "valid": [], "test": [_a01_line(1)]}
+    for name, split in lines.items():
+        (tmp_path / f"{name}.jsonl").write_text("".join(line + "\n" for line in split))
+    assert main(["stats", "--in", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: SchemaViolation: qid 'q1' appears in splits 'train' and 'test'\n" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["templates", "stats"])
 def test_stdout_equals_the_out_file_bytes(tmp_path, corpus_dir, capsys, command):
     argv = ["templates", "dump"]

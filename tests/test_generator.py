@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from conftest import build_document, stack_annotation
@@ -16,10 +18,16 @@ from docqa_forge.generator import (
     resolve_workers,
 )
 from docqa_forge.graphs import build_graphs
-from docqa_forge.hashing import stable_unit
+from docqa_forge.hashing import stable_hex, stable_int, stable_unit
 from docqa_forge.model import TaskId
 from docqa_forge.programs import compile_program, execute, scope_for
-from docqa_forge.templates import canonical_binding, enumerate_bindings, load_templates
+from docqa_forge.templates import (
+    RELATION_PHRASES,
+    canonical_binding,
+    enumerate_bindings,
+    instantiate,
+    load_templates,
+)
 
 REG = load_templates()
 
@@ -174,6 +182,64 @@ def test_corpus_additivity():
     assert len(whole.records) == parts
 
 
+# doc ids and titles the hashes must encode alike: non-ASCII, quoted, plain
+ODD_IDS = ("doc", "dé'\"文", "Résumé \"draft\"")
+
+
+def test_inlined_hashes_equal_the_stable_helpers():
+    # make_qid, the N/A draw and the synonym pick format their payloads in one
+    # f-string; each must equal the hashing helper over the same parts
+    for doc_id, page, binding in itertools.product(
+            ODD_IDS, (None, 0, 3), ({"E": "table"}, {"E1": "list", "R": "top", "E2": ODD_IDS[1]})):
+        key = canonical_binding(binding)
+        expected = stable_hex("qid", doc_id, "" if page is None else page, "A23", key)
+        assert make_qid(doc_id, page, "A23", binding) == expected
+        assert make_qid(doc_id, page, "A23", binding, key=key) == expected
+
+    tpl = REG.by_id("A23")
+    for title, relation, seed in itertools.product(ODD_IDS, ("top", "left"), range(5)):
+        binding = {"E1": "table", "R": relation, "E2": title}
+        phrases = RELATION_PHRASES[relation]
+        pick = stable_int(seed, "A23", canonical_binding(binding), "R") % len(phrases)
+        assert instantiate(tpl, binding, seed).text == \
+            f"How many tables are {phrases[pick]} the '{title}'?"
+
+    page = [("title", title) for title in ODD_IDS[1:]] + [("text", "x"), ("table", "")]
+    doc = build_document(stack_annotation(ODD_IDS[1], [page]))
+    every = generate_document(doc, GenConfig(seed=7, tasks=("B",), na_retention=1.0))[0]
+    na_qids = [r.qid for r in every if r.answer.kind == "na"]
+    assert len(na_qids) > 10
+    for retention in (0.2, 0.5, 0.8):
+        kept = generate_document(doc, GenConfig(seed=7, tasks=("B",), na_retention=retention))[0]
+        assert [r.qid for r in kept if r.answer.kind == "na"] == \
+            [q for q in na_qids if stable_unit(7, "na", q) < retention]
+
+
+def test_generator_calls_each_traced_function_once_per_record_or_binding(monkeypatch):
+    # the benchmark's per-layer counts (templates.instantiate.calls,
+    # programs.compile_program.calls, programs.execute.calls) rely on these
+    enumerated = []
+    real_enumerate = generator_module.enumerate_bindings
+
+    def counted_enumerate(*args):
+        enumerated.append(real_enumerate(*args))
+        return enumerated[-1]
+
+    monkeypatch.setattr(generator_module, "enumerate_bindings", counted_enumerate)
+    calls = {name: _count_calls(monkeypatch, generator_module, name)
+             for name in ("instantiate", "make_qid", "compile_program", "execute")}
+    docs = [random_processed_document(s) for s in (490, 491)]
+    records = generate_corpus(docs, GenConfig(seed=7)).records
+    bindings = sum(map(len, enumerated))
+    assert len(records) > bindings > 100
+    assert len(calls["instantiate"]) == len(records)
+    assert len(calls["compile_program"]) == len(calls["execute"]) == bindings
+    # a qid is drawn for every record and for every N/A answer that was dropped
+    assert len(calls["make_qid"]) > len(records)
+    assert [args[0].template_id for args in calls["instantiate"]] == \
+        [r.template_id for r in records]
+
+
 def test_count_report_shape():
     counts = count_by_type([])
     assert counts == {
@@ -227,9 +293,9 @@ def _count_calls(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls

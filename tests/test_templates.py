@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import replace
 
 import pytest
 
 from conftest import build_document, stack_annotation
 from synthcorpus import random_processed_document
-from docqa_forge.errors import IncompleteBinding
+from docqa_forge.errors import IncompleteBinding, TypeMismatch
 from docqa_forge.graphs import build_graphs
+from docqa_forge.hashing import stable_int
 from docqa_forge.model import TaskId
 from docqa_forge.programs import GROUP_PROGRAMS
 from docqa_forge.templates import (
+    RELATION_PHRASES,
+    SLOT_VALUES,
     QuestionType,
+    canonical_binding,
     enumerate_bindings,
     instantiate,
     load_templates,
@@ -134,6 +140,56 @@ def test_render_uses_the_template_it_is_given(registry):
 def test_incomplete_binding_raises(registry):
     with pytest.raises(IncompleteBinding):
         instantiate(registry.by_id("A23"), {"E1": "table", "E2": "Discussion"}, seed=0)
+
+
+@pytest.mark.parametrize("slot, value", [("num", True), ("num", 1.0), ("E", True)])
+def test_closed_slot_rejects_a_value_that_only_equals_one_of_its_values(registry, slot, value):
+    # True == 1 and 1.0 == 1, but str() renders them "True" and "1.0"
+    binding = {"num": 2, "E": "table", slot: value}
+    with pytest.raises(TypeMismatch, match=rf"slot \[{slot}\] cannot take value {value!r}"):
+        instantiate(registry.by_id("A28"), binding, seed=0)
+
+
+# Document text for the open slots: non-ASCII, a double quote, a leading vowel.
+OPEN_VALUES = ("Résumé \"draft\"", "Überblick", "Table 3")
+
+
+def _reference_text(tpl, binding, seed) -> str:
+    """The pattern rendered slot by slot, each pick hashed with stable_int."""
+    key = canonical_binding(binding)
+
+    def surface(match):
+        slot = next(s for s in tpl.slots if s.name == match.group(1))
+        value = binding[slot.name]
+        if slot.kind in SLOT_VALUES:
+            if slot.kind == "relation" and not slot.bare:
+                options = RELATION_PHRASES[value]
+            else:
+                options = (f"{value}s" if slot.plural else str(value),)
+            return options[stable_int(seed, tpl.template_id, key, slot.name) % len(options)]
+        text = f"'{value}'" if slot.quoted else value
+        if slot.article:
+            text = ("an " if value[0] in "aeiouAEIOU" else "a ") + text
+        return text
+    return re.sub(r"\[(\w+)\]", surface, tpl.pattern)
+
+
+def test_render_equals_a_slot_by_slot_reference(registry):
+    picked = set()
+    for tpl in registry:
+        pools = [SLOT_VALUES.get(slot.kind, OPEN_VALUES) for slot in tpl.slots]
+        phrased = any(slot.kind == "relation" and not slot.bare for slot in tpl.slots)
+        for combo in itertools.product(*pools):
+            binding = dict(zip((slot.name for slot in tpl.slots), combo))
+            for seed in range(10):
+                text = instantiate(tpl, binding, seed).text
+                assert text == _reference_text(tpl, binding, seed), (tpl.template_id, binding)
+                if phrased:
+                    picked.add((binding["R"], text))
+    # every phrasing of every relation was picked somewhere
+    for relation, phrases in RELATION_PHRASES.items():
+        for phrase in phrases:
+            assert any(r == relation and f" {phrase} " in t for r, t in picked), phrase
 
 
 def test_render_determinism(registry):
