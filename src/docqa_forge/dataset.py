@@ -356,14 +356,18 @@ def check_split_names(names) -> None:
 
 
 def compute_stats(splits) -> dict:
-    """Descriptive statistics over the union of all splits, which need distinct names and qids."""
+    """Statistics over the union of all splits; no two share a name, qid or document."""
     check_split_names(split.name for split in splits)
     split_of: dict[str, str] = {}
+    doc_split: dict[str, str] = {}
     for split in splits:
         for r in split.records:
             if split_of.setdefault(r.qid, split.name) != split.name:
                 raise SchemaViolation(f"qid {r.qid!r} appears in splits "
                                       f"{split_of[r.qid]!r} and {split.name!r}")
+            if doc_split.setdefault(r.doc_id, split.name) != split.name:
+                raise SchemaViolation(f"document {r.doc_id!r} appears in splits "
+                                      f"{doc_split[r.doc_id]!r} and {split.name!r}")
     all_records = [r for split in splits for r in split.records]
     qtype_counts = count_by_type(all_records)
     report: dict = {"splits": {}, "tasks": {}}

@@ -7,7 +7,6 @@ number of workers and merged back in doc_id order without changing a byte.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -93,10 +92,7 @@ def make_qid(doc_id: str, page_index: int | None, template_id: str, binding: dic
     """The record id; key is the binding's canonical_binding, if the caller has it."""
     if key is None:
         key = canonical_binding(binding)
-    page_part = "" if page_index is None else page_index
-    # the payload of stable_hex("qid", doc_id, page_part, template_id, key)
-    payload = f"qid\x1f{doc_id}\x1f{page_part}\x1f{template_id}\x1f{key}"
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return stable_hex("qid", doc_id, "" if page_index is None else page_index, template_id, key)
 
 
 def _evaluate_group(tpl, scope, graphs) -> list[tuple]:
@@ -148,10 +144,8 @@ def _generate_scope(templates, scope, graphs, cfg: GenConfig) -> list[QARecord]:
             if answer is None:
                 continue
             qid = make_qid(doc_id, page_index, template_id, binding, key=key)
-            if answer.kind == "na":  # the payload of stable_unit(cfg.seed, "na", qid)
-                digest = hashlib.sha256(f"{cfg.seed}\x1fna\x1f{qid}".encode()).digest()
-                if int.from_bytes(digest[:8], "big") / 2.0 ** 64 >= cfg.na_retention:
-                    continue
+            if answer.kind == "na" and stable_unit(cfg.seed, "na", qid) >= cfg.na_retention:
+                continue
             question = instantiate(tpl, binding, cfg.seed, validated=True, key=key)
             records.append(QARecord(qid, task, qtype, doc_id, page_index, question.text,
                                     template_id, dict(binding), answer, sizes))

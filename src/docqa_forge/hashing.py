@@ -4,24 +4,16 @@ All sampling decisions in the pipeline (synonym picks, NA retention,
 down-sampling survivors) derive from sha256 over explicit strings, so results
 are identical across machines, Python versions, process counts, and record
 arrival order.
-
-Hot callers (make_qid, the N/A draw, the synonym pick) format the same payload
-in one f-string, valid as their parts are str or int, whose format() is str();
-tests/test_generator.py::test_inlined_hashes_equal_the_stable_helpers pins them.
 """
 
 from __future__ import annotations
 
-import hashlib
-
-
-def stable_digest(*parts: object) -> bytes:
-    payload = "\x1f".join(str(p) for p in parts)
-    return hashlib.sha256(payload.encode("utf-8")).digest()
+from hashlib import sha256
 
 
 def stable_int(*parts: object) -> int:
-    return int.from_bytes(stable_digest(*parts)[:8], "big")
+    """The first 8 bytes, big-endian, of sha256 over the parts' str() joined by "\\x1f"."""
+    return int.from_bytes(sha256("\x1f".join(map(str, parts)).encode()).digest()[:8], "big")
 
 
 def stable_unit(*parts: object) -> float:
@@ -30,4 +22,4 @@ def stable_unit(*parts: object) -> float:
 
 
 def stable_hex(*parts: object) -> str:
-    return stable_digest(*parts).hex()[:16]
+    return f"{stable_int(*parts):016x}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass, replace
 
@@ -94,7 +95,7 @@ def _load_document(data, processed: bool) -> Document:
         width = page_raw.get("width")
         height = page_raw.get("height")
         if not _is_positive_number(width) or not _is_positive_number(height):
-            raise MalformedInput(f"page {position}: width/height must be positive numbers")
+            raise MalformedInput(f"page {position}: width/height must be positive finite numbers")
         width, height = float(width), float(height)
         elements_raw = page_raw.get("elements", [])
         if not isinstance(elements_raw, list):
@@ -162,7 +163,7 @@ def _check_parents(doc_id: str, parent_of: dict[str, str | None]) -> None:
 
 
 def _is_positive_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v <= sys.float_info.max
 
 
 def _parse_element(raw, page_index: int, width: float, height: float):
@@ -182,7 +183,7 @@ def _parse_element(raw, page_index: int, width: float, height: float):
     for v in bbox_raw:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise MalformedInput(f"element {el_id!r}: bbox must be four numbers")
-    x0, y0, x1, y1 = map(float, bbox_raw)
+    x0, y0, x1, y1 = bbox_raw  # compared unconverted, so no int overflows float()
     if not (x0 < x1 and y0 < y1):
         raise InvalidBBox(f"element {el_id!r}: degenerate bbox {bbox_raw}")
     if x0 < 0 or y0 < 0 or x1 > width or y1 > height:

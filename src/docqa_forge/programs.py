@@ -362,11 +362,10 @@ def _render(prog: FunctionalProgram, value, scope: Scope) -> AnswerValue:
         return AnswerValue.na()
     task = prog.task
     if task == TaskId.A:
-        if isinstance(value, bool):
-            return AnswerValue.token("yes" if value else "no")
-        if value > 5:
+        token = ("yes" if value else "no") if isinstance(value, bool) else str(value)
+        if token not in ANSWER_SPACE[TaskId.A]["token"]:
             raise OverflowAnswer(f"count {value} exceeds the fixed answer space")
-        return AnswerValue.token(str(value))
+        return AnswerValue.token(token)
     if task == TaskId.B:
         # answers are page-local reading indices; off-page referents are N/A
         if value.page_index != scope.page.index:

@@ -9,7 +9,6 @@ is applied at render time per slot, from tables each template builds once.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import re
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from functools import cached_property, lru_cache
 from .errors import IncompleteBinding, TypeMismatch
 from .geometry import REGION_NAMES, in_region
 from .graphs import GraphBundle
+from .hashing import stable_int
 from .model import QUESTION_LABELS, Document, ElementCategory, Page, TaskId
 
 # Phrasal surfaces for [R] slots; the first entry is the canonical phrase.
@@ -328,10 +328,8 @@ def instantiate(tpl: QuestionTemplate, binding: dict, seed: int, *,
             options = surfaces[value]
             if len(options) == 1:
                 text = options[0]
-            else:  # the payload of stable_int(seed, template_id, key, slot.name)
-                digest = hashlib.sha256(
-                    f"{seed}\x1f{tpl.template_id}\x1f{key}\x1f{slot.name}".encode()).digest()
-                text = options[int.from_bytes(digest[:8], "big") % len(options)]
+            else:
+                text = options[stable_int(seed, tpl.template_id, key, slot.name) % len(options)]
         else:
             text = f"'{value}'" if slot.quoted else str(value)
             if slot.article:

@@ -110,6 +110,23 @@ def test_ingest_bytes_equal_json_dumps_of_the_payload(tmp_path, count):
     assert out.read_text() == json.dumps({"documents": documents}, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("size, value", [("width", "Infinity"), ("height", "1e400"),
+                                         ("width", "1" + "0" * 400)],
+                         ids=["infinity", "float-overflow", "int-overflow"])
+def test_ingest_rejects_a_page_size_that_is_not_finite(tmp_path, capsys, size, value):
+    # json.loads reads these as inf or as an int float() cannot hold
+    page = {"index": 0, "width": 612, "height": 792, "elements": []}
+    text = json.dumps({"doc_id": "wide", "pages": [page]}).replace(
+        f'"{size}": {page[size]}', f'"{size}": {value}')
+    source, out = tmp_path / "wide.json", tmp_path / "out.json"
+    source.write_text(text)
+    assert main(["ingest", "--in", str(source), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: MalformedInput: {source}: page 0: "
+                   "width/height must be positive finite numbers\n")
+    assert not out.exists()
+
+
 def test_generate_trace_output(tmp_path, corpus_dir):
     raw = tmp_path / "raw.jsonl"
     trace = tmp_path / "trace.jsonl"
@@ -525,6 +542,17 @@ def test_stats_rejects_a_qid_in_two_splits(tmp_path, capsys):
     assert main(["stats", "--in", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "error: SchemaViolation: qid 'q1' appears in splits 'train' and 'test'\n" in err
+    assert "Traceback" not in err
+
+
+def test_stats_rejects_a_document_in_two_splits(tmp_path, capsys):
+    # split_corpus keeps each document in one split; distinct qids do not hide it
+    lines = {"train": [_a01_line(1)], "valid": [], "test": [_a01_line(2, doc_id="pg0001")]}
+    for name, split in lines.items():
+        (tmp_path / f"{name}.jsonl").write_text("".join(line + "\n" for line in split))
+    assert main(["stats", "--in", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: SchemaViolation: document 'pg0001' appears in splits 'train' and 'test'\n" in err
     assert "Traceback" not in err
 
 

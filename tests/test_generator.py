@@ -215,6 +215,20 @@ def test_inlined_hashes_equal_the_stable_helpers():
             [q for q in na_qids if stable_unit(7, "na", q) < retention]
 
 
+@pytest.mark.parametrize("parts, hex_, int_, unit", [
+    (("qid", "doc", "", "A23", "E=table"), "8aa36f106e507a77", 9989950514798819959,
+     0.5415563025583782),
+    ((7, "na", ODD_IDS[1], "x"), "580247f8b9ec487d", 6341710358887811197, 0.34378480741899964),
+    ((1, None, 0, -3, "A23"), "386dc0b4ed969f3e", 4066117921898143550, 0.2204246942252106),
+    (("qid", 229), "00c8f62dc14895a0", 56565671718852000, 0.00306643120828406),
+])
+def test_stable_hashes_keep_their_literal_values(parts, hex_, int_, unit):
+    # every qid, N/A draw, synonym pick and balance rank follows from these
+    assert stable_hex(*parts) == hex_
+    assert stable_int(*parts) == int_
+    assert stable_unit(*parts) == unit
+
+
 def test_generator_calls_each_traced_function_once_per_record_or_binding(monkeypatch):
     # the benchmark's per-layer counts (templates.instantiate.calls,
     # programs.compile_program.calls, programs.execute.calls) rely on these

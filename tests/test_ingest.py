@@ -59,6 +59,12 @@ def test_parse_rejects_bbox_outside_page():
         parse_document(json.dumps(one_page([element("t", "title", [10, 5, 110, 10])])))
 
 
+def test_parse_rejects_a_bbox_int_beyond_the_float_range():
+    huge = 10 ** 400  # float(huge) overflows; the bounds check must come first
+    with pytest.raises(InvalidBBox, match=r"^element 't': bbox .* outside page 100.0x100.0"):
+        parse_document(json.dumps(one_page([element("t", "title", [10, 5, huge, 10])])))
+
+
 def test_parse_rejects_duplicate_ids():
     with pytest.raises(DuplicateId):
         parse_document(json.dumps(one_page([

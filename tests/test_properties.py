@@ -1,5 +1,6 @@
 """Property tests of the input layer (annotation and processed documents, JSONL
-lines) and of the order-free balance and split."""
+lines), of generation under a change of units, and of the order-free balance
+and split."""
 
 from __future__ import annotations
 
@@ -12,12 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import balance
-from synthcorpus import random_processed_document
+from reference import balance, record_to_json
+from synthcorpus import random_annotation, random_processed_document
 from docqa_forge.balance import BalanceConfig, balance_report
 from docqa_forge.dataset import jsonl_lines, split_corpus
 from docqa_forge.errors import ForgeError, SchemaViolation
-from docqa_forge.generator import GenConfig, generate_corpus
+from docqa_forge.generator import GenConfig, generate_corpus, generate_document
 from docqa_forge.ingest import (
     document_from_processed,
     document_to_processed,
@@ -94,6 +95,41 @@ def test_any_json_document_loads_or_raises_a_forge_error(data):
 def test_processed_documents_round_trip_through_json(seed):
     doc = random_processed_document(seed)
     assert document_from_processed(json.loads(json.dumps(document_to_processed(doc)))) == doc
+
+
+def _scaled(annotation, fx: float, fy: float) -> dict:
+    """The annotation with x sizes and coordinates times fx, y ones times fy."""
+    pages = [{**page, "width": page["width"] * fx, "height": page["height"] * fy,
+              "elements": [{**el, "bbox": [v * f for v, f in zip(el["bbox"], (fx, fy, fx, fy))]}
+                           for el in page["elements"]]}
+             for page in annotation["pages"]]
+    return {**annotation, "pages": pages}
+
+
+def _generated_lines(annotation):
+    records, excluded = generate_document(
+        preprocess_document(parse_document(annotation)), GenConfig(seed=7))
+    return [json.dumps(record_to_json(r)) for r in records], excluded
+
+
+# Any one unit to another, from micrometres to kilometres (points, pixels, mm, ...)
+_FACTORS = st.floats(1e-6, 1e6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.randoms(use_true_random=False),
+       _FACTORS, _FACTORS)
+def test_generated_records_do_not_depend_on_units(seed, off_grid, rng, fx, fy):
+    annotation = random_annotation(seed)
+    if off_grid:  # synthcorpus boxes lie on a 1/128 grid; move each edge inward off it
+        for page in annotation["pages"]:
+            for el in page["elements"]:
+                x0, y0, x1, y1 = el["bbox"]
+                w, h = (x1 - x0) * rng.random() / 8, (y1 - y0) * rng.random() / 8
+                el["bbox"] = [x0 + w, y0 + h, x1 - w * rng.random(), y1 - h * rng.random()]
+    expected = _generated_lines(annotation)
+    assert _generated_lines(_scaled(annotation, fx, fx)) == expected
+    assert _generated_lines(_scaled(annotation, fx, fy)) == expected
 
 
 # Characters at which str.splitlines() ends a line, and padding that is JSON
