@@ -59,11 +59,14 @@ def answer_from_json(data) -> AnswerValue:
 
 
 @lru_cache(maxsize=1)
-def _template_classes() -> dict[str, tuple[str, str, TaskId, QuestionType, frozenset]]:
-    """template_id -> (task, qtype) as JSON strings and as enums, and its slot names."""
-    return {t.template_id: (t.task.value, t.qtype.value, t.task, t.qtype,
+def _template_classes() -> dict[str, tuple[str, str, str, TaskId, QuestionType, frozenset]]:
+    """template_id -> (the registry's id, task, qtype, both as enums, its slot names)."""
+    return {t.template_id: (t.template_id, t.task.value, t.qtype.value, t.task, t.qtype,
                             frozenset(slot.name for slot in t.slots))
             for t in load_templates()}
+
+
+_WORDS = {word: word for words in SLOT_VALUES.values() for word in words if type(word) is str}
 
 
 def record_from_json(data) -> QARecord:
@@ -81,7 +84,7 @@ def record_from_json(data) -> QARecord:
     classes = _template_classes().get(template_id)
     if classes is None:
         raise SchemaViolation(f"unknown template_id {template_id!r} (qid {qid})")
-    task_value, qtype_value, task_id, qtype_id, slot_names = classes
+    template_id, task_value, qtype_value, task_id, qtype_id, slot_names = classes
     if task != task_value or qtype != qtype_value:
         raise SchemaViolation(f"template {template_id!r} does not belong to "
                               f"task {task!r}/{qtype!r} (qid {qid})")
@@ -96,6 +99,9 @@ def record_from_json(data) -> QARecord:
     if not answer.in_space_of(task_id):
         raise SchemaViolation(f"answer {answer.canonical()} is outside the Task {task} "
                               f"answer space (qid {qid})")
+    for name, value in binding.items():  # one shared str per closed-vocabulary word
+        if type(value) is str:
+            binding[name] = _WORDS.get(value, value)
     return QARecord(qid, task_id, qtype_id, doc_id, page, question, template_id, binding,
                     answer)
 
@@ -204,12 +210,17 @@ def jsonl_lines(path, parse) -> list:
 def read_records_jsonl(path) -> list[QARecord]:
     """The file's records in order; a second record with the same qid is a SchemaViolation."""
     seen: dict[str, None] = {}  # a dict holds the qids in about half a set's memory
+    last_doc_id = ""
 
     def parse(data) -> QARecord:
+        nonlocal last_doc_id
         record = record_from_json(data)
         if record.qid in seen:
             raise SchemaViolation(f"duplicate record for qid {record.qid!r}")
         seen[record.qid] = None
+        if record.doc_id != last_doc_id:
+            last_doc_id = record.doc_id
+        record.doc_id = last_doc_id  # records come grouped by document: one str per run
         return record
     return jsonl_lines(path, parse)
 

@@ -11,7 +11,6 @@ import itertools
 import json
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
@@ -200,6 +199,7 @@ def generate_corpus(corpus, cfg: GenConfig, max_workers: int | None = None) -> G
     workers = resolve_workers(max_workers)
     # map keeps the order of docs, so outputs stay in doc_id order
     if workers > 1 and len(docs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(generate_document, docs, itertools.repeat(cfg)))
     else:

@@ -11,9 +11,13 @@ from __future__ import annotations
 from hashlib import sha256
 
 
+def _digest(parts: tuple) -> bytes:
+    return sha256("\x1f".join(map(str, parts)).encode()).digest()
+
+
 def stable_int(*parts: object) -> int:
     """The first 8 bytes, big-endian, of sha256 over the parts' str() joined by "\\x1f"."""
-    return int.from_bytes(sha256("\x1f".join(map(str, parts)).encode()).digest()[:8], "big")
+    return int.from_bytes(_digest(parts)[:8], "big")
 
 
 def stable_unit(*parts: object) -> float:
@@ -22,4 +26,4 @@ def stable_unit(*parts: object) -> float:
 
 
 def stable_hex(*parts: object) -> str:
-    return f"{stable_int(*parts):016x}"
+    return _digest(parts)[:8].hex()

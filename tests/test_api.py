@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import docqa_forge
@@ -36,3 +39,16 @@ def test_readme_module_references_resolve():
     missing = [f"{module}.{attr}" for module, attr in sorted(named)
                if not hasattr(importlib.import_module(f"docqa_forge.{module}"), attr)]
     assert named and missing == []
+
+
+def test_importing_the_package_and_cli_leaves_the_process_pool_out():
+    # generate_corpus imports the pool only when more than one worker runs
+    code = ("import sys, docqa_forge, docqa_forge.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

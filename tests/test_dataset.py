@@ -237,12 +237,21 @@ def test_a_read_that_stops_at_a_bad_line_closes_its_file(tmp_path, bad_line):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
-def test_reading_holds_little_more_than_the_records(tmp_path):
+def _task_c_line(i):
+    """A Task C record whose index_set answer almost no other line shares."""
+    data = record_to_json(rec(i, task=TaskId.C))
+    data["answer"] = {"kind": "index_set", "value": sorted(set(divmod(i, 400)))}
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("line", [_record_line, _task_c_line], ids=["task-a", "task-c-sets"])
+def test_reading_holds_little_more_than_the_records(tmp_path, line):
     # The file is read a line at a time: beyond the records it returns, the
-    # read holds about one line, not copies of the whole file. Each record has
-    # its own qid, as a record file must.
-    count = 6_000_000 // len(_record_line(0)) + 1
-    path = _record_file(tmp_path, [_record_line(i) for i in range(count)])
+    # read holds about one line, not copies of the whole file, and no table
+    # that grows with the distinct values read. Each record has its own qid,
+    # as a record file must.
+    count = 6_000_000 // len(line(0)) + 1
+    path = _record_file(tmp_path, [line(i) for i in range(count)])
     size = path.stat().st_size
     tracemalloc.start()
     try:
@@ -252,6 +261,32 @@ def test_reading_holds_little_more_than_the_records(tmp_path):
         tracemalloc.stop()
     assert size >= 6_000_000 and len(records) == count
     assert peak - held < size / 4
+
+
+def test_records_of_one_read_share_their_repeated_strs(tmp_path):
+    lines = [_record_line(i, doc_id=f"doc{i // 3}",
+                          bindings={"E1": "table", "R": "top-left", "E2": "Results"},
+                          template_id="A09", qtype="existence")
+             for i in range(6)]
+    first, *rest = records = read_records_jsonl(_record_file(tmp_path, lines))
+    assert [r.doc_id for r in records] == ["doc0"] * 3 + ["doc1"] * 3
+    for r in rest:
+        assert r.template_id is first.template_id
+        assert r.binding is not first.binding
+        for name in ("E1", "R"):
+            assert r.binding[name] is first.binding[name]
+        assert r.binding["E2"] is not first.binding["E2"]  # document text is not shared
+    assert records[1].doc_id is records[0].doc_id and records[4].doc_id is records[3].doc_id
+
+
+@pytest.mark.parametrize("value", [["table"], {"k": "table"}, 3])
+def test_binding_values_of_other_types_read_as_written(tmp_path, value):
+    # the read checks a binding's names, not its values, so any JSON value
+    # reaches the sharing of closed-vocabulary strs and must pass it unchanged
+    path = _record_file(tmp_path, [_record_line(0, bindings={"E": value, "pos": "top"})])
+    (record,) = read_records_jsonl(path)
+    assert record.binding == {"E": value, "pos": "top"}
+    assert type(record.binding["E"]) is type(value)
 
 
 def _writer_cases():
