@@ -15,7 +15,7 @@ from pathlib import Path
 from .errors import BadParameter, BadRatios, IoFailure, SchemaViolation
 from .generator import QARecord, count_by_type
 from .model import TaskId
-from .programs import ANSWER_SPACE, TOKEN_ANSWERS, AnswerValue
+from .programs import AnswerValue
 from .templates import SLOT_VALUES, QuestionType, load_templates
 
 SPLIT_NAMES = ("train", "valid", "test")
@@ -25,36 +25,26 @@ SPLIT_NAMES = ("train", "valid", "test")
 # Record (de)serialization
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _fixed_answers() -> tuple[dict[str, AnswerValue], tuple[AnswerValue, ...], AnswerValue]:
-    """One shared AnswerValue per fixed token, per page index and for N/A;
-    answers are immutable, so every record read may hold the same one."""
-    return ({t: AnswerValue.token(t) for t in TOKEN_ANSWERS},
-            tuple(AnswerValue.index(i) for i in ANSWER_SPACE[TaskId.B]["index"]),
-            AnswerValue.na())
-
-
 def answer_from_json(data) -> AnswerValue:
     if not isinstance(data, dict) or "kind" not in data:
         raise SchemaViolation(f"bad answer payload: {data!r}")
     kind = data["kind"]
     value = data.get("value")
-    tokens, indices, na = _fixed_answers()
     if kind == "token":
         if not isinstance(value, str):
             raise SchemaViolation(f"token answer needs a string, got {value!r}")
-        return tokens.get(value) or AnswerValue.token(value)
+        return AnswerValue.token(value)
     if kind == "index":
         if not isinstance(value, int) or isinstance(value, bool):
             raise SchemaViolation(f"index answer needs an int, got {value!r}")
-        return indices[value] if 0 <= value < len(indices) else AnswerValue.index(value)
+        return AnswerValue.index(value)
     if kind == "index_set":
         # the element types as one set: exactly int, so no bool, str or float
         if not isinstance(value, list) or set(map(type, value)) != {int}:
             raise SchemaViolation(f"index_set answer needs a nonempty int list, got {value!r}")
         return AnswerValue.index_set(value)
     if kind == "na":
-        return na
+        return AnswerValue.na()
     raise SchemaViolation(f"unknown answer kind {kind!r}")
 
 

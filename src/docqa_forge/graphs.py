@@ -139,9 +139,9 @@ def build_logical_graph(doc: Document) -> LogicalGraph:
     """Build the parent-child forest.
 
     Explicit parent_id fields, when any element carries one, are authoritative
-    and used as given, as the loaders checked them. Otherwise section structure
-    is inferred: titles nest by numbering level, body elements attach to the
-    most recent title, captions parent their floats.
+    and used as given, as every Document checks them when built. Otherwise
+    section structure is inferred: titles nest by numbering level, body
+    elements attach to the most recent title, captions parent their floats.
     """
     elements = tuple(doc.elements())
     if any(el.parent_id is not None for el in elements):

@@ -1,9 +1,10 @@
 """Annotation parsing and document preprocessing.
 
-parse_document checks and normalizes one annotation. preprocess_document then
-walks each page once, storing its elements in reading order with both reading
-indices and relabelling captions, and builds the mention index last. Each
-loader checks a document once, as it reads it, parent links included.
+parse_document checks the JSON shape of one annotation and normalizes it.
+preprocess_document then walks each page once, storing its elements in
+reading order with both reading indices and relabelling captions, and builds
+the mention index last. A Document checks its ids, parent links and mention
+index itself; the loaders check shapes, geometry and processed reading indices.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 import unicodedata
 from dataclasses import dataclass, replace
 
-from .errors import CyclicParentInput, DanglingParent, DuplicateId, InvalidBBox, MalformedInput
+from .errors import InvalidBBox, MalformedInput
 from .geometry import BoundingBox
 from .model import UNASSIGNED, Document, DocElement, ElementCategory, Page, TaskId
 
@@ -63,8 +64,8 @@ def parse_document(raw: bytes | str | dict) -> Document:
 
 
 def _load_document(data, processed: bool) -> Document:
-    """The one page/element loop, then the parent links; with processed set, it
-    also checks that each reading index equals its position, and reads the mention index."""
+    """The one page/element loop; with processed set, it also checks that each
+    reading index equals its position, and reads the mention index."""
     if not isinstance(data, dict):
         raise MalformedInput("document must be a JSON object")
 
@@ -83,8 +84,8 @@ def _load_document(data, processed: bool) -> Document:
     if not isinstance(pages_raw, list):
         raise MalformedInput("pages must be a list")
 
-    parent_of: dict[str, str | None] = {}  # id -> parent_id of every element so far
     pri = dri = UNASSIGNED  # as parse_document leaves them
+    start = 0  # elements on earlier pages
     pages: list[Page] = []
     for position, page_raw in enumerate(pages_raw):
         if not isinstance(page_raw, dict):
@@ -105,20 +106,18 @@ def _load_document(data, processed: bool) -> Document:
         for el_raw in elements_raw:
             el_id, bbox, category, text, parent_id = _parse_element(el_raw, position,
                                                                     width, height)
-            if el_id in parent_of:
-                raise DuplicateId(f"element id {el_id!r} appears more than once")
             if processed:
-                pri, dri = len(elements), len(parent_of)
+                pri, dri = len(elements), start + len(elements)
                 for key, want in (("page_reading_index", pri), ("doc_reading_index", dri)):
                     got = el_raw.get(key)
                     if type(got) is not int or got != want:  # bool is no index
                         raise MalformedInput(
                             f"document {doc_id!r}: element {el_id!r}: {key} must be {want} "
                             f"(pages store their elements in reading order), got {got!r}")
-            parent_of[el_id] = parent_id
             elements.append(DocElement(id=el_id, page_index=position, bbox=bbox,
                                        category=category, text=text, parent_id=parent_id,
                                        page_reading_index=pri, doc_reading_index=dri))
+        start += len(elements)
         pages.append(Page(index=position, width=width, height=height,
                           elements=tuple(elements)))
 
@@ -131,35 +130,9 @@ def _load_document(data, processed: bool) -> Document:
             if not isinstance(el_ids, list):
                 raise MalformedInput(f"document {doc_id!r}: mention_index entry {label!r} "
                                      f"must be a list of element ids")
-            for el_id in el_ids:
-                if not isinstance(el_id, str) or el_id not in parent_of:
-                    raise MalformedInput(f"document {doc_id!r}: mention_index entry "
-                                         f"{label!r} names unknown element {el_id!r}")
         mention_index = {k: tuple(v) for k, v in sorted(mentions.items())}
-    _check_parents(doc_id, parent_of)
     return Document(doc_id=doc_id, pages=tuple(pages), references=tuple(references),
                     mention_index=mention_index)
-
-
-def _check_parents(doc_id: str, parent_of: dict[str, str | None]) -> None:
-    """Raise DanglingParent or CyclicParentInput, naming the document, unless
-    every parent_id names an element of it and no parent chain loops."""
-    links = {el_id: parent for el_id, parent in parent_of.items() if parent is not None}
-    for el_id, parent in links.items():
-        if parent not in parent_of:
-            raise DanglingParent(f"document {doc_id!r}: {el_id!r} references "
-                                 f"unknown parent {parent!r}")
-    cleared: set[str] = set()
-    for start in links:  # only linked elements can lie on a cycle
-        seen: set[str] = set()
-        cursor: str | None = start
-        while cursor is not None and cursor not in cleared:
-            if cursor in seen:
-                raise CyclicParentInput(f"document {doc_id!r}: parent chain through "
-                                        f"{cursor!r} forms a cycle")
-            seen.add(cursor)
-            cursor = links.get(cursor)
-        cleared |= seen
 
 
 def _is_positive_number(v) -> bool:
@@ -231,7 +204,9 @@ def preprocess_document(doc: Document) -> Document:
             replace(el, category=owners[el.id].category.caption_kind) if el.id in owners else el
             for el in elements)
         pages.append(replace(page, elements=elements))
-    return build_mention_index(replace(doc, pages=tuple(pages)))
+    return Document(doc_id=doc.doc_id, pages=tuple(pages), references=doc.references,
+                    mention_index=build_mention_index(
+                        doc.references, (el for page in pages for el in page.elements)))
 
 
 def _reading_order(elements) -> list[DocElement]:
@@ -300,13 +275,13 @@ _FLOAT_MENTION = re.compile(r"(?<![A-Za-z0-9])(table|figure|fig\.)\s+(\d+)(?![A-
                             re.IGNORECASE)
 
 
-def build_mention_index(doc: Document) -> Document:
+def build_mention_index(references, elements) -> dict[str, tuple[str, ...]]:
     """Map canonical float labels ("fig. 03" -> "Figure 3") and citation keys
-    to the Text/List elements naming them."""
+    to the ids of the Text/List elements naming them."""
     keys = [(key, re.compile(r"(?<![A-Za-z0-9])" + re.escape(key) + r"(?![A-Za-z0-9])"))
-            for key in dict.fromkeys(doc.references)]
+            for key in dict.fromkeys(references)]
     index: dict[str, list[str]] = {}
-    for el in doc.elements():
+    for el in elements:
         if el.category not in (ElementCategory.TEXT, ElementCategory.LIST):
             continue
         labels = set()
@@ -319,7 +294,7 @@ def build_mention_index(doc: Document) -> Document:
         for key, pattern in keys:
             if pattern.search(el.text):
                 index.setdefault(key, []).append(el.id)
-    return replace(doc, mention_index={k: tuple(v) for k, v in sorted(index.items())})
+    return {k: tuple(v) for k, v in sorted(index.items())}
 
 
 # ---------------------------------------------------------------------------

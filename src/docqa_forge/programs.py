@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import AnchorNotFound, OverflowAnswer, TypeMismatch
+from .errors import AnchorNotFound, MalformedInput, OverflowAnswer, TypeMismatch
 from .geometry import SpatialRelation, in_region
 from .graphs import GraphBundle, SpatialGraph
 from .ingest import DOC_ELEMENT_LIMIT, PAGE_ELEMENT_LIMIT
@@ -76,11 +76,11 @@ class AnswerValue:
 
     @staticmethod
     def token(value: str) -> "AnswerValue":
-        return AnswerValue("token", value)
+        return _TOKENS.get(value) or AnswerValue("token", value)
 
     @staticmethod
     def index(value: int) -> "AnswerValue":
-        return AnswerValue("index", value)
+        return _INDICES.get(value) or AnswerValue("index", value)
 
     @staticmethod
     def index_set(values) -> "AnswerValue":
@@ -88,7 +88,7 @@ class AnswerValue:
 
     @staticmethod
     def na() -> "AnswerValue":
-        return AnswerValue("na", None)
+        return _NA_ANSWER
 
     def in_space_of(self, task: TaskId) -> bool:
         """Whether the answer lies in the task's fixed answer space."""
@@ -108,6 +108,12 @@ class AnswerValue:
         if self.kind == "index_set":
             return "set:" + ",".join(str(v) for v in self.value)
         return "na"
+
+
+# Answers are immutable: one shared instance per fixed token, page index and N/A.
+_TOKENS = {token: AnswerValue("token", token) for token in TOKEN_ANSWERS}
+_INDICES = {i: AnswerValue("index", i) for i in ANSWER_SPACE[TaskId.B]["index"]}
+_NA_ANSWER = AnswerValue("na", None)
 
 
 # Program schemas per template group; each entry is (op, source) where source
@@ -158,7 +164,7 @@ def check_chain(ops: tuple[str, ...], task: TaskId) -> None:
         want, out = SIGNATURES[op]
         if want == SCOPE and i > 0:
             raise TypeMismatch(f"{op} must open the chain")
-        if want != cursor and not (i == 0 and want == ELEMS):
+        if want != cursor:
             raise TypeMismatch(f"step {op} wants {want}, chain carries {cursor}")
         cursor = out
     if cursor not in _FINAL_KINDS[task]:
@@ -188,10 +194,10 @@ def compile_program(tpl: QuestionTemplate, binding: dict) -> FunctionalProgram:
 class Scope:
     """What a program runs over: one page of doc, or all of doc when page is None.
 
-    Its elements are stored in reading order, as the loaders check, and its
-    lookup tables are built once. An element set is an int bitmask: bit i
-    stands for elements[i], so set order is reading order and set operations
-    are integer operations.
+    Its elements must be stored in reading order, as preprocessing leaves them
+    (MalformedInput otherwise), and its lookup tables are built once. An element
+    set is an int bitmask: bit i stands for elements[i], so set order is
+    reading order and set operations are integer operations.
     """
 
     def __init__(self, doc: Document, page: Page | None = None):
@@ -202,6 +208,9 @@ class Scope:
         self.category: dict[ElementCategory, int] = {}
         self.titles: dict[str, list[DocElement]] = {}
         for i, el in enumerate(self.elements):
+            if (el.doc_reading_index if page is None else el.page_reading_index) != i:
+                raise MalformedInput(f"document {doc.doc_id!r}: element {el.id!r} at position "
+                                     f"{i} is not at its reading index; preprocess it first")
             self.category[el.category] = self.category.get(el.category, 0) | 1 << i
             if el.category == ElementCategory.TITLE:
                 self.titles.setdefault(el.text, []).append(el)

@@ -355,14 +355,8 @@ def _quotable_titles(elements) -> dict[str, list[str]]:
 _FLOAT_KEY = re.compile(r"^(Table|Figure) \d+$")
 
 
-def _region_members(page: Page, category: ElementCategory | None, region: str) -> int:
-    n = 0
-    for el in page.elements:
-        if category is not None and el.category != category:
-            continue
-        if in_region(el.bbox, region):
-            n += 1
-    return n
+def _region_members(page: Page, category: ElementCategory, region: str) -> int:
+    return sum(el.category == category and in_region(el.bbox, region) for el in page.elements)
 
 
 def enumerate_bindings(tpl: QuestionTemplate, doc: Document,
@@ -405,12 +399,9 @@ def enumerate_bindings(tpl: QuestionTemplate, doc: Document,
     out = []
     for combo in itertools.product(*(vals for _, vals in pools)):
         binding = dict(zip(names, combo))
-        if tpl.group == "b_pos":
-            if _region_members(page, ElementCategory.TITLE, binding["pos"]) > 1:
-                continue
-        elif tpl.group == "b_objrec":
-            cat = ElementCategory(binding["E"])
-            if _region_members(page, cat, binding["pos"]) > 1:
+        if tpl.group in ("b_pos", "b_objrec"):  # b_pos picks a title
+            category = ElementCategory(binding.get("E", "title"))
+            if _region_members(page, category, binding["pos"]) > 1:
                 continue
         out.append(binding)
     out.sort(key=canonical_binding)

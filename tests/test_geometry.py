@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from docqa_forge import geometry
 from docqa_forge.errors import InvalidBBox
 from docqa_forge.geometry import (
     BoundingBox,
@@ -105,6 +106,31 @@ def test_exclusivity_never_two_relations():
     a = box(0.0, 0.0, 0.5, 0.5)
     b = box(0.25, 0.25, 0.75, 0.75)  # 50% overlap on both axes
     assert spatial_relation(a, b) is None
+
+
+# Pairs whose displacement along one axis is set as the dead zone: (a, b, axis,
+# relation of b from a, relation of a from b) while that displacement is outside it.
+_DEAD_ZONE_PAIRS = {
+    "stacked": (box(0, 0, 1, 0.2), box(0, 0.5, 1, 0.7), 1,
+                SpatialRelation.BOTTOM, SpatialRelation.TOP),
+    "side-by-side": (box(0.05, 0.2, 0.45, 0.6), box(0.55, 0.2, 0.95, 0.6), 0,
+                     SpatialRelation.RIGHT, SpatialRelation.LEFT),
+    # diagonal: the other axis moves further, so only this axis can decide
+    "diagonal-x": (box(0, 0, 0.2, 0.2), box(0.3, 0.6, 0.5, 0.8), 0,
+                   SpatialRelation.BOTTOM_RIGHT, SpatialRelation.TOP_LEFT),
+    "diagonal-y": (box(0, 0, 0.2, 0.2), box(0.6, 0.3, 0.8, 0.5), 1,
+                   SpatialRelation.BOTTOM_RIGHT, SpatialRelation.TOP_LEFT),
+}
+
+
+@pytest.mark.parametrize("name", list(_DEAD_ZONE_PAIRS))
+def test_a_displacement_exactly_at_epsilon_stays_undecided(name, monkeypatch):
+    a, b, axis, forward, backward = _DEAD_ZONE_PAIRS[name]
+    assert (spatial_relation(a, b), spatial_relation(b, a)) == (forward, backward)
+    # b - a and a - b round to the same magnitude, so both signs sit on the bound
+    monkeypatch.setattr(geometry, "EPSILON", b.center[axis] - a.center[axis])
+    assert spatial_relation(a, b) is None
+    assert spatial_relation(b, a) is None
 
 
 # --- direction tables derived from the relation names ---------------------------

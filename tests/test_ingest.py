@@ -49,9 +49,11 @@ def test_parse_rejects_degenerate_bbox():
         parse_document(json.dumps(one_page([element("t", "title", [90, 5, 10, 10])])))
 
 
-def test_parse_names_the_element_whose_box_collapses_when_normalized():
+@pytest.mark.parametrize("bbox", [[0, 0, 1e-10, 10], [0, 0, 10, 1e-10]],
+                         ids=["width", "height"])
+def test_parse_names_the_element_whose_box_collapses_when_normalized(bbox):
     with pytest.raises(InvalidBBox, match=r"^element 'tiny': degenerate box"):
-        parse_document(json.dumps(one_page([element("tiny", "text", [0, 0, 1e-10, 10])])))
+        parse_document(json.dumps(one_page([element("tiny", "text", bbox)])))
 
 
 def test_parse_rejects_bbox_outside_page():

@@ -11,6 +11,7 @@ from docqa_forge.programs import (
     AnswerValue,
     FunctionalProgram,
     Step,
+    check_chain,
     compile_program,
     execute,
     scope_for,
@@ -67,6 +68,25 @@ def test_type_mismatch_on_bad_chain():
         # count produces an int; filtering it is ill-typed and must not pass
         prog = compile_program  # noqa: F841  (compile path rejects; executor too)
         execute(bad, scope_for(TaskId.A, doc, doc.pages[0]), graphs)
+
+
+@pytest.mark.parametrize("ops, message", [
+    # locate_text yields one element; filter_category wants a set
+    (("locate_text", "filter_category"), "step filter_category wants elem_set, chain carries elem"),
+    # a chain opens on the scope's element set, never on a single element
+    (("child_sections",), "step child_sections wants elem, chain carries elem_set"),
+])
+def test_check_chain_rejects_an_ill_typed_step(ops, message):
+    with pytest.raises(TypeMismatch, match=f"^{message}$"):
+        check_chain(ops, TaskId.C)
+
+
+def test_fixed_answers_are_shared_instances():
+    assert AnswerValue.token("yes") is AnswerValue.token("yes")
+    assert AnswerValue.index(24) is AnswerValue.index(24)
+    assert AnswerValue.na() is AnswerValue.na()
+    assert AnswerValue.index(25) == AnswerValue("index", 25)  # outside the space: built anew
+    assert AnswerValue.token("7") == AnswerValue("token", "7")
 
 
 # --- Task A execution -------------------------------------------------------------
