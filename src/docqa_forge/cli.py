@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from pathlib import Path
 
 from .balance import BalanceConfig, balance_answers, balance_parameters, balance_report
 from .dataset import (
     DatasetSplit,
+    _atomic_write,
     atomic_write_json,
     atomic_write_lines,
     check_ratios,
@@ -53,6 +54,8 @@ from .model import Document
 from .programs import GROUP_PROGRAMS, trace_steps
 from .templates import load_templates
 
+_INGEST_HEAD = '{"documents": ['  # then the documents, joined by ", ", then "]}"
+
 
 def load_corpus(path) -> list[Document]:
     """Accept a directory of annotation files, one annotation file, or a
@@ -70,18 +73,21 @@ def load_corpus(path) -> list[Document]:
     else:
         raw = read_bytes(path)
         with _in_file(path):
-            data = decode_json(raw)
-            del raw  # only the decoded tree is needed from here on
-            if isinstance(data, dict) and "documents" in data:
-                documents = data["documents"]
-                if not isinstance(documents, list):
-                    raise MalformedInput("documents must be a list")
-                loaded = []
-                for i, document in enumerate(documents):
-                    documents[i] = None  # each dict is released once its Document is built
-                    loaded.append((path, document_from_processed(document)))
-            else:
-                loaded = [(path, preprocess_document(parse_document(data)))]
+            with suppress(UnicodeDecodeError):  # left to json.loads, which reads encoded surrogates
+                raw = raw.decode("utf-8") if raw.startswith(_INGEST_HEAD.encode()) else raw
+            documents = _ingest_layout_documents(raw) if isinstance(raw, str) else None
+            if documents is None:
+                data = decode_json(raw)
+                del raw  # only the decoded tree is needed from here on
+                if isinstance(data, dict) and "documents" in data:
+                    documents = data["documents"]
+                    if not isinstance(documents, list):
+                        raise MalformedInput("documents must be a list")
+                    for i, document in enumerate(documents):
+                        documents[i] = document_from_processed(document)  # the dict is released
+                else:
+                    documents = [preprocess_document(parse_document(data))]
+        loaded = [(path, doc) for doc in documents]
     sources: dict[str, Path] = {}
     for source, doc in loaded:
         if doc.doc_id in sources:
@@ -89,6 +95,30 @@ def load_corpus(path) -> list[Document]:
                               f"from {sources[doc.doc_id]}")
         sources[doc.doc_id] = source
     return [doc for _, doc in loaded]
+
+
+def _ingest_layout_documents(text: str) -> list[Document] | None:
+    """The documents of text in ingest's layout, each built once its JSON is read, or None
+    where text leaves it. A bad document is reported after the rest of text is read."""
+    scan = json.JSONDecoder().scan_once
+    documents, failure = [], None
+    pos, sep = len(_INGEST_HEAD), ""
+    while text.startswith(sep + "{", pos):
+        try:
+            value, pos = scan(text, pos + len(sep))
+        except (ValueError, RecursionError):
+            return None
+        if failure is None:
+            try:
+                documents.append(document_from_processed(value))
+            except ForgeError as exc:
+                failure = exc
+        sep, value = ", ", None  # the tree is released before the next one is read
+    if not text.startswith("]}", pos) or text[pos + 2:].strip(" \t\n\r"):
+        return None
+    if failure is not None:
+        raise failure
+    return documents
 
 
 @contextmanager
@@ -118,14 +148,19 @@ def _output_json(data, out) -> None:
 
 def _cmd_ingest(args) -> int:
     corpus = load_corpus(args.input)
-    # One compact line, equal to json.dumps({"documents": [...]}, sort_keys=True).
-    # Each document is encoded on its own (in C, which indent would prevent), so
-    # the encoder never holds the pieces of the whole corpus at once.
-    documents = ", ".join(json.dumps(document_to_processed(d), sort_keys=True)
-                          for d in corpus)
-    atomic_write_lines(args.out, ['{"documents": [' + documents + "]}"])
+    _atomic_write(args.out, _ingest_chunks(corpus))
     print(f"ingested {len(corpus)} documents -> {args.out}", file=sys.stderr)
     return 0
+
+
+def _ingest_chunks(corpus):
+    """json.dumps({"documents": [...]}, sort_keys=True) and a newline, encoding each document
+    on its own (in C, which indent would prevent) once the one before it is written."""
+    yield _INGEST_HEAD
+    for i, doc in enumerate(corpus):
+        yield ", " if i else ""
+        yield json.dumps(document_to_processed(doc), sort_keys=True)
+    yield "]}\n"
 
 
 def _cmd_generate(args) -> int:

@@ -218,19 +218,24 @@ def read_records_jsonl(path) -> list[QARecord]:
 def atomic_write_lines(path, lines) -> None:
     """Write each string in lines, and a newline after it, to a temporary file
     that then replaces path, so readers see the old file or the whole new one."""
+    _atomic_write(path, (line + "\n" for line in lines))
+
+
+def _atomic_write(path, chunks) -> None:
+    """Write the strings in chunks, as they come, to a temporary file that then replaces
+    path. Any exception removes the temporary file; an OSError becomes IoFailure."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with tmp.open("w", encoding="utf-8") as out:
-            for line in lines:
-                out.write(line)
-                out.write("\n")
+            out.writelines(chunks)
         tmp.replace(path)
     except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    finally:
         with suppress(OSError):  # e.g. NotADirectoryError when the parent is a file
             tmp.unlink(missing_ok=True)
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def json_text(data) -> str:

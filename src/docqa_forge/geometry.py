@@ -17,7 +17,7 @@ OVERLAP_TAU = 0.5
 EPSILON = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box, page-normalized, y increasing downward."""
 

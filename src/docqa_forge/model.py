@@ -47,7 +47,7 @@ class ElementCategory(str, Enum):
 QUESTION_LABELS = ("figure", "list", "table", "title")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DocElement:
     """One detected layout region with its normalized geometry and text."""
 

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from synthcorpus import random_annotation, random_processed_document
 from docqa_forge.balance import BalanceConfig
 from docqa_forge.cli import load_corpus, main
 from docqa_forge.dataset import check_ratios
-from docqa_forge.errors import BadParameter
+from docqa_forge.errors import BadParameter, ForgeError
 from docqa_forge.generator import GenConfig, resolve_workers
 from docqa_forge.ingest import document_to_processed
 
@@ -381,6 +382,158 @@ def test_bad_reading_index_message(tmp_path, corpus_dir, capsys, corrupt, messag
                  "--seed", "1"])
     assert code == 1
     assert capsys.readouterr().err == f"error: MalformedInput: {processed}: {message}\n"
+
+
+def _processed_payload(count, **kwargs):
+    return {"documents": [document_to_processed(random_processed_document(seed, **kwargs))
+                          for seed in range(count)]}
+
+
+def _ingest_text(payload):
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _with_lone_surrogate(payload):
+    element = payload["documents"][1]["pages"][0]["elements"][0]
+    element["text"] += "\ud800"
+    return _ingest_text(payload)
+
+
+def _first_document_unordered(payload):
+    payload["documents"][0]["pages"][0]["elements"][0]["page_reading_index"] = 7
+    return _ingest_text(payload)
+
+
+def _last_document_unordered(payload):
+    payload["documents"][-1]["pages"][0]["elements"][0]["page_reading_index"] = 7
+    return _ingest_text(payload)
+
+
+def _repeated_documents_key(payload):
+    # json keeps the last value of a repeated key, so the first list is never read
+    first = {"documents": [{"doc_id": "ignored"}]}
+    return json.dumps(first)[:-1] + ", " + json.dumps(payload)[1:]
+
+
+# (name, document count, payload -> file text or bytes, read one document at a time)
+_LAYOUTS = [
+    ("empty", 0, _ingest_text, True),
+    ("one", 1, _ingest_text, True),
+    ("four", 4, _ingest_text, True),
+    ("unsorted-keys", 4, json.dumps, True),
+    ("trailing-space", 4, lambda p: json.dumps(p) + "  \n\n\t\r\n", True),
+    ("lone-surrogate", 4, _with_lone_surrogate, True),
+    ("bad-first-document", 4, _first_document_unordered, True),
+    ("bad-last-document", 4, _last_document_unordered, True),
+    ("bad-first-document-cut-tail", 4, lambda p: _first_document_unordered(p)[:-9], False),
+    ("no-separator-space", 4, lambda p: json.dumps(p, separators=(",", ": ")), False),
+    ("indented", 4, lambda p: json.dumps(p, indent=2), False),
+    ("second-key-after", 4, lambda p: json.dumps({**p, "note": "x"}), False),
+    ("second-key-before", 4, lambda p: json.dumps({"note": "x", **p}), False),
+    ("repeated-documents-key", 4, _repeated_documents_key, False),
+    ("utf16-bom", 4, lambda p: json.dumps(p).encode("utf-16"), False),
+    ("utf8-encoded-surrogate", 4,
+     lambda p: _with_lone_surrogate(p).replace("\\ud800", "\ud800").encode(
+         "utf-8", "surrogatepass"), False),
+]
+
+
+@pytest.mark.parametrize("count, text, streamed", [case[1:] for case in _LAYOUTS],
+                         ids=[case[0] for case in _LAYOUTS])
+def test_processed_layouts_load_as_the_whole_file_decodes(tmp_path, monkeypatch,
+                                                         count, text, streamed):
+    # ingest's layout is read a document at a time; any file must still load
+    # to the documents, or end in the error, that one decode of it gives
+    path = tmp_path / "corpus.json"
+    data = text(_processed_payload(count, n_pages=2))
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    taken = []
+    read_layout = docqa_forge.cli._ingest_layout_documents
+
+    def spy(text):
+        taken.append(True)  # and it stays True if the layout's reader raises
+        documents = read_layout(text)
+        taken[-1] = documents is not None
+        return documents
+    outcomes = []
+    for whole in (False, True):
+        monkeypatch.setattr("docqa_forge.cli._ingest_layout_documents",
+                            (lambda text: None) if whole else spy)
+        try:
+            outcomes.append(load_corpus(path))
+        except ForgeError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    assert any(taken) is streamed
+    if not isinstance(outcomes[0], tuple):
+        assert len(outcomes[0]) == count
+
+
+def test_invalid_json_is_reported_before_a_bad_document(tmp_path, capsys):
+    processed = tmp_path / "corpus.json"
+    text = _first_document_unordered(_processed_payload(2, n_pages=2))[:-9]
+    processed.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as decode:
+        json.loads(text)
+    code = main(["generate", "--in", str(processed), "--out", str(tmp_path / "r.jsonl"),
+                 "--seed", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: MalformedInput: {processed}: not valid JSON: {decode.value}\n")
+
+
+def test_repeated_doc_id_in_ingest_layout_names_the_file(tmp_path, capsys):
+    payload = _processed_payload(2, n_pages=2)
+    payload["documents"].append(payload["documents"][0])
+    processed = tmp_path / "corpus.json"
+    processed.write_text(_ingest_text(payload))
+    code = main(["generate", "--in", str(processed), "--out", str(tmp_path / "r.jsonl"),
+                 "--seed", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: DuplicateId: {processed}: document 'synt00000' was already read "
+        f"from {processed}\n")
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+@pytest.fixture(scope="module")
+def long_corpus(tmp_path_factory):
+    """Eight 36-page annotation files and the processed corpus ingest makes of them."""
+    root = tmp_path_factory.mktemp("long")
+    (root / "corpus").mkdir()
+    for seed in range(8):
+        annotation = random_annotation(seed, n_pages=36, chaotic_share=0.0)
+        (root / "corpus" / f"{seed}.json").write_text(json.dumps(annotation))
+    assert main(["ingest", "--in", str(root / "corpus"), "--out", str(root / "p.json")]) == 0
+    return root
+
+
+def test_loading_ingest_layout_holds_little_more_than_the_documents(long_corpus):
+    # the file's text and one document's JSON value at a time, not the whole tree
+    path = long_corpus / "p.json"
+    documents, held, peak = _traced_peak(lambda: load_corpus(path))
+    assert len(documents) == 8
+    assert peak - held < 2 * path.stat().st_size
+
+
+def test_ingest_writes_one_document_at_a_time(long_corpus):
+    # beyond what loading its input takes, ingest holds about one document's
+    # encoding, not the corpus as text
+    source, out = long_corpus / "corpus", long_corpus / "again.json"
+    _, _, load_peak = _traced_peak(lambda: load_corpus(source))
+    code, _, ingest_peak = _traced_peak(
+        lambda: main(["ingest", "--in", str(source), "--out", str(out)]))
+    assert code == 0 and out.read_bytes() == (long_corpus / "p.json").read_bytes()
+    assert ingest_peak - load_peak < 1.5 * out.stat().st_size
 
 
 def test_elements_stored_out_of_reading_order_are_rejected(tmp_path, corpus_dir, capsys):

@@ -13,6 +13,7 @@ from reference import record_to_json
 from docqa_forge.dataset import (
     DatasetSplit,
     anonymized_pattern,
+    atomic_write_lines,
     compute_stats,
     percentage,
     questions_per_image,
@@ -134,6 +135,24 @@ def test_truncated_file_raises(tmp_path):
 def test_missing_file_raises(tmp_path):
     with pytest.raises(IoFailure):
         read_records_jsonl(tmp_path / "absent.jsonl")
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_a_failed_write_leaves_no_temp_file(tmp_path, existing):
+    # the lines may be encoded while the file is open, so a source that raises
+    # any error must not leave the temporary file, nor touch the target
+    out = tmp_path / "o.txt"
+    if existing:
+        out.write_bytes(b"old\n")
+
+    def lines():
+        yield "first"
+        raise SchemaViolation("bad record")
+    with pytest.raises(SchemaViolation, match="^bad record$"):
+        atomic_write_lines(out, lines())
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["o.txt"] if existing else [])
+    if existing:
+        assert out.read_bytes() == b"old\n"
 
 
 def test_bad_answer_kind_raises():
