@@ -71,14 +71,15 @@ def load_corpus(path) -> list[Document]:
         if not loaded:
             raise IoFailure(f"no .json documents under {path}")
     else:
-        raw = read_bytes(path)
+        raw, text = read_bytes(path), None
         with _in_file(path):
-            with suppress(UnicodeDecodeError):  # left to json.loads, which reads encoded surrogates
-                raw = raw.decode("utf-8") if raw.startswith(_INGEST_HEAD.encode()) else raw
-            documents = _ingest_layout_documents(raw) if isinstance(raw, str) else None
+            if raw.startswith(_INGEST_HEAD.encode()):
+                with suppress(UnicodeDecodeError):  # left to json.loads, which reads encoded surrogates
+                    text, raw = raw.decode("utf-8"), None
+            documents = None if text is None else _ingest_layout_documents(text)
             if documents is None:
-                data = decode_json(raw)
-                del raw  # only the decoded tree is needed from here on
+                data = decode_json(raw if text is None else text)
+                del raw, text  # only the decoded tree is needed from here on
                 if isinstance(data, dict) and "documents" in data:
                     documents = data["documents"]
                     if not isinstance(documents, list):
@@ -106,7 +107,7 @@ def _ingest_layout_documents(text: str) -> list[Document] | None:
     while text.startswith(sep + "{", pos):
         try:
             value, pos = scan(text, pos + len(sep))
-        except (ValueError, RecursionError):
+        except (StopIteration, ValueError, RecursionError):  # StopIteration: a missing value
             return None
         if failure is None:
             try:
@@ -158,8 +159,7 @@ def _ingest_chunks(corpus):
     on its own (in C, which indent would prevent) once the one before it is written."""
     yield _INGEST_HEAD
     for i, doc in enumerate(corpus):
-        yield ", " if i else ""
-        yield json.dumps(document_to_processed(doc), sort_keys=True)
+        yield from (", " if i else "", json.dumps(document_to_processed(doc), sort_keys=True))
     yield "]}\n"
 
 

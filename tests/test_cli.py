@@ -415,6 +415,12 @@ def _repeated_documents_key(payload):
     return json.dumps(first)[:-1] + ", " + json.dumps(payload)[1:]
 
 
+def _cut_after(marker, text, last=False):
+    # the C scanner lets StopIteration out where a value is missing after ": " or ", "
+    at = text.rindex(marker) if last else text.index(marker, len('{"documents": ['))
+    return text[:at + len(marker)]
+
+
 # (name, document count, payload -> file text or bytes, read one document at a time)
 _LAYOUTS = [
     ("empty", 0, _ingest_text, True),
@@ -426,6 +432,12 @@ _LAYOUTS = [
     ("bad-first-document", 4, _first_document_unordered, True),
     ("bad-last-document", 4, _last_document_unordered, True),
     ("bad-first-document-cut-tail", 4, lambda p: _first_document_unordered(p)[:-9], False),
+    ("bad-first-document-cut-after-colon", 4,
+     lambda p: _cut_after('": ', _first_document_unordered(p), last=True), False),
+    ("cut-after-colon", 4, lambda p: _cut_after('": ', _ingest_text(p)), False),
+    ("cut-after-comma", 4, lambda p: _cut_after('", ', _ingest_text(p)), False),
+    ("cut-after-list-comma", 4, lambda p: _cut_after("[0.06, ", _ingest_text(p)), False),
+    ("missing-value", 4, lambda p: _ingest_text(p).replace('"synt00000"', "", 1), False),
     ("no-separator-space", 4, lambda p: json.dumps(p, separators=(",", ": ")), False),
     ("indented", 4, lambda p: json.dumps(p, indent=2), False),
     ("second-key-after", 4, lambda p: json.dumps({**p, "note": "x"}), False),
@@ -469,9 +481,12 @@ def test_processed_layouts_load_as_the_whole_file_decodes(tmp_path, monkeypatch,
         assert len(outcomes[0]) == count
 
 
-def test_invalid_json_is_reported_before_a_bad_document(tmp_path, capsys):
+@pytest.mark.parametrize("cut", [lambda text: text[:-9],
+                                 lambda text: _cut_after('": ', text, last=True)],
+                         ids=["tail", "after-colon"])
+def test_invalid_json_is_reported_before_a_bad_document(tmp_path, capsys, cut):
     processed = tmp_path / "corpus.json"
-    text = _first_document_unordered(_processed_payload(2, n_pages=2))[:-9]
+    text = cut(_first_document_unordered(_processed_payload(2, n_pages=2)))
     processed.write_text(text)
     with pytest.raises(json.JSONDecodeError) as decode:
         json.loads(text)
