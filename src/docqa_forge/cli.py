@@ -54,7 +54,7 @@ from .model import Document
 from .programs import GROUP_PROGRAMS, trace_steps
 from .templates import load_templates
 
-_INGEST_HEAD = '{"documents": ['  # then the documents, joined by ", ", then "]}"
+_INGEST_HEAD = '{"documents": [\n'  # then one document a line, "," ending all but the last, "]}"
 
 
 def load_corpus(path) -> list[Document]:
@@ -63,63 +63,90 @@ def load_corpus(path) -> list[Document]:
     file it comes from, and each doc_id may appear only once."""
     path = Path(path)
     if path.is_dir():
-        loaded = []
-        for child in sorted(path.glob("*.json")):
-            raw = read_bytes(child)
-            with _in_file(child):
-                loaded.append((child, preprocess_document(parse_document(raw))))
-        if not loaded:
-            raise IoFailure(f"no .json documents under {path}")
-    else:
-        raw, text = read_bytes(path), None
+        return list(_unique(_annotation_files(path), {}))
+    # a pipe is read once, by read_bytes: the layout's reader would open and drop it
+    documents = _ingest_layout_documents(path) if path.is_file() else None
+    if documents is None:
+        raw = read_bytes(path)
         with _in_file(path):
-            if raw.startswith(_INGEST_HEAD.encode()):
-                with suppress(UnicodeDecodeError):  # left to json.loads, which reads encoded surrogates
-                    text, raw = raw.decode("utf-8"), None
-            documents = None if text is None else _ingest_layout_documents(text)
-            if documents is None:
-                data = decode_json(raw if text is None else text)
-                del raw, text  # only the decoded tree is needed from here on
-                if isinstance(data, dict) and "documents" in data:
-                    documents = data["documents"]
-                    if not isinstance(documents, list):
-                        raise MalformedInput("documents must be a list")
-                    for i, document in enumerate(documents):
-                        documents[i] = document_from_processed(document)  # the dict is released
-                else:
-                    documents = [preprocess_document(parse_document(data))]
-        loaded = [(path, doc) for doc in documents]
-    sources: dict[str, Path] = {}
+            data = decode_json(raw)
+            del raw  # only the decoded tree is needed from here on
+            if isinstance(data, dict) and "documents" in data:
+                documents = data["documents"]
+                if not isinstance(documents, list):
+                    raise MalformedInput("documents must be a list")
+                for i, document in enumerate(documents):
+                    documents[i] = document_from_processed(document)  # the dict is released
+            else:
+                documents = [preprocess_document(parse_document(data))]
+    return list(_unique(((path, doc) for doc in documents), {}))
+
+
+def _annotation_files(directory: Path):
+    """(file, preprocessed document) for each annotation file under directory, in name
+    order, each file read once the pair before it has been used."""
+    files = sorted(directory.glob("*.json"))
+    if not files:
+        raise IoFailure(f"no .json documents under {directory}")
+    for child in files:
+        raw = read_bytes(child)
+        with _in_file(child):
+            doc, raw = preprocess_document(parse_document(raw)), None
+        yield child, doc
+        doc = None  # released before the next file is read
+
+
+def _unique(loaded, sources: dict):
+    """The documents of the (source, document) pairs in loaded, in order, with sources
+    mapping each doc_id to its source. A repeated doc_id raises DuplicateId at the end."""
+    repeated = None
     for source, doc in loaded:
-        if doc.doc_id in sources:
-            raise DuplicateId(f"{source}: document {doc.doc_id!r} was already read "
-                              f"from {sources[doc.doc_id]}")
-        sources[doc.doc_id] = source
-    return [doc for _, doc in loaded]
+        if doc.doc_id not in sources:
+            sources[doc.doc_id] = source
+        elif repeated is None:
+            repeated = DuplicateId(f"{source}: document {doc.doc_id!r} was already read "
+                                   f"from {sources[doc.doc_id]}")
+        yield doc
+        doc = None
+    if repeated is not None:
+        raise repeated
 
 
-def _ingest_layout_documents(text: str) -> list[Document] | None:
-    """The documents of text in ingest's layout, each built once its JSON is read, or None
-    where text leaves it. A bad document is reported after the rest of text is read."""
-    scan = json.JSONDecoder().scan_once
-    documents, failure = [], None
-    pos, sep = len(_INGEST_HEAD), ""
-    while text.startswith(sep + "{", pos):
-        try:
-            value, pos = scan(text, pos + len(sep))
-        except (StopIteration, ValueError, RecursionError):  # StopIteration: a missing value
+def _ingest_layout_documents(path: Path) -> list[Document] | None:
+    """The documents of a file in ingest's layout, each built as its line is read, or None
+    where the file leaves the layout or cannot be read (left to read_bytes to report). A
+    bad document is raised once the rest of the file has been read in the layout."""
+    head = _INGEST_HEAD.encode()
+    with suppress(OSError), path.open("rb") as lines, _in_file(path):
+        # the tail first, so a file that leaves the layout only there builds nothing twice
+        tail_at = lines.seek(max(0, lines.seek(0, 2) - 4096))  # 2: from the end
+        tail = lines.read().rstrip(b" \t\n\r")  # JSON whitespace
+        lines.seek(0)
+        if lines.read(len(head)) != head or not tail.endswith(b"\n]}"):
             return None
-        if failure is None:
+        left = tail_at + len(tail) - len("]}") - len(head)  # the bytes of the document lines
+        scan = json.JSONDecoder().scan_once
+        documents, failure = [], None
+        while left:
+            line = lines.readline()
+            left -= len(line)
             try:
-                documents.append(document_from_processed(value))
-            except ForgeError as exc:
-                failure = exc
-        sep, value = ", ", None  # the tree is released before the next one is read
-    if not text.startswith("]}", pos) or text[pos + 2:].strip(" \t\n\r"):
-        return None
-    if failure is not None:
-        raise failure
-    return documents
+                line = line.decode("utf-8")  # each form of the line is released once used
+                value, at = scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):  # StopIteration: a missing value
+                return None
+            if line[at:] != (",\n" if left else "\n"):  # a line ends before "]}"
+                return None
+            line = None
+            if failure is None:
+                try:
+                    documents.append(document_from_processed(value))
+                except ForgeError as exc:
+                    failure = exc
+            value = None
+        if failure is not None:
+            raise failure
+        return documents
 
 
 @contextmanager
@@ -148,19 +175,29 @@ def _output_json(data, out) -> None:
 
 
 def _cmd_ingest(args) -> int:
-    corpus = load_corpus(args.input)
-    _atomic_write(args.out, _ingest_chunks(corpus))
-    print(f"ingested {len(corpus)} documents -> {args.out}", file=sys.stderr)
+    path, sources = Path(args.input), {}
+    loaded = _annotation_files(path) if path.is_dir() else ((path, d) for d in load_corpus(path))
+    _atomic_write(args.out, _ingest_chunks(_unique(loaded, sources)))  # a directory streams
+    print(f"ingested {len(sources)} documents -> {args.out}", file=sys.stderr)
     return 0
 
 
 def _ingest_chunks(corpus):
-    """json.dumps({"documents": [...]}, sort_keys=True) and a newline, encoding each document
-    on its own (in C, which indent would prevent) once the one before it is written."""
+    """The processed corpus: a head line, each document's json.dumps(..., sort_keys=True) on
+    a line of its own, with "," ending all but the last, then "]}". Each document is encoded
+    page by page (in C, which indent would prevent) once the one before it is written."""
     yield _INGEST_HEAD
-    for i, doc in enumerate(corpus):
-        yield from (", " if i else "", json.dumps(document_to_processed(doc), sort_keys=True))
-    yield "]}\n"
+    sep = ""
+    for doc in corpus:
+        processed = document_to_processed(doc)
+        pages, references = processed.pop("pages"), processed.pop("references")
+        # the keys in sorted order: doc_id, mention_index, pages, references
+        yield sep + json.dumps(processed, sort_keys=True)[:-1] + ', "pages": ['
+        for i, page in enumerate(pages):
+            yield from (", " if i else "", json.dumps(page, sort_keys=True))
+        yield f'], "references": {json.dumps(references)}}}'
+        sep, doc, processed, pages, references = ",\n", None, None, None, None
+    yield "\n]}\n" if sep else "]}\n"
 
 
 def _cmd_generate(args) -> int:

@@ -87,7 +87,9 @@ def test_ingest_then_generate_from_processed(tmp_path, corpus_dir):
     text = processed.read_text()
     payload = json.loads(text)
     assert len(payload["documents"]) == 3
-    assert text == json.dumps(payload, sort_keys=True) + "\n"
+    assert text == ('{"documents": [\n'
+                    + ",\n".join(json.dumps(d, sort_keys=True) for d in payload["documents"])
+                    + "\n]}\n")
     indented = tmp_path / "indented.json"  # the layout ingest wrote before
     indented.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     assert load_corpus(indented) == load_corpus(processed)
@@ -102,13 +104,33 @@ def test_ingest_then_generate_from_processed(tmp_path, corpus_dir):
 
 @pytest.mark.parametrize("count", [0, 1, 4])
 def test_ingest_bytes_equal_json_dumps_of_the_payload(tmp_path, count):
-    # ingest encodes each document on its own and joins them
+    # ingest encodes each document on its own, one a line
     documents = [document_to_processed(random_processed_document(seed))
                  for seed in range(count)]
     source, out = tmp_path / "in.json", tmp_path / "out.json"
     source.write_text(json.dumps({"documents": documents}, indent=1))
     assert main(["ingest", "--in", str(source), "--out", str(out)]) == 0
-    assert out.read_text() == json.dumps({"documents": documents}, sort_keys=True) + "\n"
+    assert out.read_text() == _ingest_text({"documents": documents})
+
+
+def test_ingest_encodes_each_document_as_one_json_dumps(tmp_path):
+    # ingest encodes a document page by page; its line must still be one json.dumps
+    blank = {"doc_id": "blank", "references": [], "pages": [], "mention_index": {}}
+    unmentioned = document_to_processed(random_processed_document(3, n_pages=2))
+    unmentioned["mention_index"] = {}
+    accented = document_to_processed(random_processed_document(4, n_pages=2))
+    element = accented["pages"][1]["elements"][0]
+    accented["doc_id"] = "dokument-ü"
+    element["text"] = "Größe — ✓ 😀"
+    accented["mention_index"]["Übersicht 1 ✓"] = [element["id"]]
+    accented["references"].append("Müller et al, 2020")
+    source, out = tmp_path / "in.json", tmp_path / "out.json"
+    source.write_text(json.dumps({"documents": [blank, unmentioned, accented]}))
+    assert main(["ingest", "--in", str(source), "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").split("\n")
+    assert lines[1:4] == [json.dumps(document_to_processed(doc), sort_keys=True) + sep
+                          for doc, sep in zip(load_corpus(source), (",", ",", ""))]
+    assert lines[1].startswith('{"doc_id": "blank", "mention_index": {}, "pages": [], ')
 
 
 @pytest.mark.parametrize("size, value", [("width", "Infinity"), ("height", "1e400"),
@@ -389,8 +411,13 @@ def _processed_payload(count, **kwargs):
                           for seed in range(count)]}
 
 
-def _ingest_text(payload):
-    return json.dumps(payload, sort_keys=True) + "\n"
+def _ingest_text(payload, sort_keys=True):
+    """The layout ingest writes: a head line, one document a line, each but the last
+    ending in ",", then "]}"."""
+    lines = [json.dumps(doc, sort_keys=sort_keys) + "," for doc in payload["documents"]]
+    if lines:
+        lines[-1] = lines[-1][:-1]
+    return "\n".join(['{"documents": [', *lines, "]}"]) + "\n"
 
 
 def _with_lone_surrogate(payload):
@@ -412,7 +439,15 @@ def _last_document_unordered(payload):
 def _repeated_documents_key(payload):
     # json keeps the last value of a repeated key, so the first list is never read
     first = {"documents": [{"doc_id": "ignored"}]}
-    return json.dumps(first)[:-1] + ", " + json.dumps(payload)[1:]
+    return _ingest_text(first)[:-2] + ", " + json.dumps(payload)[1:]
+
+
+def _second_key_after(payload):
+    return _ingest_text(payload)[:-3] + '], "note": "x"}\n'
+
+
+def _first_line_break(old, new):
+    return lambda payload: _ingest_text(payload).replace(old, new, 1)
 
 
 def _cut_after(marker, text, last=False):
@@ -426,8 +461,17 @@ _LAYOUTS = [
     ("empty", 0, _ingest_text, True),
     ("one", 1, _ingest_text, True),
     ("four", 4, _ingest_text, True),
-    ("unsorted-keys", 4, json.dumps, True),
-    ("trailing-space", 4, lambda p: json.dumps(p) + "  \n\n\t\r\n", True),
+    ("unsorted-keys", 4, partial(_ingest_text, sort_keys=False), True),
+    ("trailing-space", 4, lambda p: _ingest_text(p) + "  \n\n\t\r\n", True),
+    ("one-line", 4, lambda p: json.dumps(p, sort_keys=True) + "\n", False),
+    ("crlf", 4, _first_line_break(",\n", ",\r\n"), False),
+    ("crlf-head", 4, _first_line_break("[\n", "[\r\n"), False),
+    ("blank-line", 4, _first_line_break(",\n", ",\n\n"), False),
+    ("two-documents-on-a-line", 4, _first_line_break(",\n", ", "), False),
+    ("document-over-two-lines", 4, _first_line_break('", ', '",\n'), False),
+    ("no-end-line", 4, lambda p: _ingest_text(p)[:-4] + "]}\n", False),
+    ("data-after-end", 4, lambda p: _ingest_text(p) + "[]\n", False),
+    ("end-line-twice", 4, lambda p: _ingest_text(p) + "]}\n", False),
     ("lone-surrogate", 4, _with_lone_surrogate, True),
     ("bad-first-document", 4, _first_document_unordered, True),
     ("bad-last-document", 4, _last_document_unordered, True),
@@ -440,7 +484,7 @@ _LAYOUTS = [
     ("missing-value", 4, lambda p: _ingest_text(p).replace('"synt00000"', "", 1), False),
     ("no-separator-space", 4, lambda p: json.dumps(p, separators=(",", ": ")), False),
     ("indented", 4, lambda p: json.dumps(p, indent=2), False),
-    ("second-key-after", 4, lambda p: json.dumps({**p, "note": "x"}), False),
+    ("second-key-after", 4, _second_key_after, False),
     ("second-key-before", 4, lambda p: json.dumps({"note": "x", **p}), False),
     ("repeated-documents-key", 4, _repeated_documents_key, False),
     ("utf16-bom", 4, lambda p: json.dumps(p).encode("utf-16"), False),
@@ -462,15 +506,15 @@ def test_processed_layouts_load_as_the_whole_file_decodes(tmp_path, monkeypatch,
     taken = []
     read_layout = docqa_forge.cli._ingest_layout_documents
 
-    def spy(text):
+    def spy(path):
         taken.append(True)  # and it stays True if the layout's reader raises
-        documents = read_layout(text)
+        documents = read_layout(path)
         taken[-1] = documents is not None
         return documents
     outcomes = []
     for whole in (False, True):
         monkeypatch.setattr("docqa_forge.cli._ingest_layout_documents",
-                            (lambda text: None) if whole else spy)
+                            (lambda path: None) if whole else spy)
         try:
             outcomes.append(load_corpus(path))
         except ForgeError as exc:
@@ -481,9 +525,23 @@ def test_processed_layouts_load_as_the_whole_file_decodes(tmp_path, monkeypatch,
         assert len(outcomes[0]) == count
 
 
+@pytest.mark.parametrize("layout", [_repeated_documents_key, _second_key_after])
+def test_a_file_leaving_the_layout_at_its_tail_is_decoded_once(tmp_path, monkeypatch, layout):
+    # the tail is checked before any document is built, so none is built twice
+    path = tmp_path / "corpus.json"
+    path.write_text(layout(_processed_payload(4, n_pages=2)))
+    calls = []
+    build = docqa_forge.cli.document_from_processed
+    monkeypatch.setattr("docqa_forge.cli.document_from_processed",
+                        lambda data: calls.append(data["doc_id"]) or build(data))
+    assert len(load_corpus(path)) == 4
+    assert calls == [f"synt{seed:05d}" for seed in range(4)]
+
+
 @pytest.mark.parametrize("cut", [lambda text: text[:-9],
-                                 lambda text: _cut_after('": ', text, last=True)],
-                         ids=["tail", "after-colon"])
+                                 lambda text: _cut_after('": ', text, last=True),
+                                 lambda text: text.replace('"synt00001"', "", 1)],
+                         ids=["tail", "after-colon", "later-line"])
 def test_invalid_json_is_reported_before_a_bad_document(tmp_path, capsys, cut):
     processed = tmp_path / "corpus.json"
     text = cut(_first_document_unordered(_processed_payload(2, n_pages=2)))
@@ -532,12 +590,35 @@ def long_corpus(tmp_path_factory):
     return root
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_processed_corpus_loads_from_a_named_pipe(tmp_path, long_corpus):
+    # a pipe can be read only once: a reader that opened it and closed it again
+    # would break the writer's pipe while it still has bytes to write
+    fifo = tmp_path / "fifo.json"
+    os.mkfifo(fifo)
+    src = str(Path(docqa_forge.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "docqa_forge", "inspect", "--in", str(fifo),
+                             "--doc", "synt00000"], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        with fifo.open("wb") as writer:  # opens once the command opens the pipe to read
+            writer.write((long_corpus / "p.json").read_bytes())  # more than a pipe holds
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert proc.returncode == 0, err
+    assert out.startswith(b"document synt00000 page 0: ")
+
+
 def test_loading_ingest_layout_holds_little_more_than_the_documents(long_corpus):
     # the file's text and one document's JSON value at a time, not the whole tree
     path = long_corpus / "p.json"
     documents, held, peak = _traced_peak(lambda: load_corpus(path))
     assert len(documents) == 8
-    assert peak - held < 2 * path.stat().st_size
+    assert peak - held < 1 * path.stat().st_size
 
 
 def test_ingest_writes_one_document_at_a_time(long_corpus):
@@ -549,6 +630,45 @@ def test_ingest_writes_one_document_at_a_time(long_corpus):
         lambda: main(["ingest", "--in", str(source), "--out", str(out)]))
     assert code == 0 and out.read_bytes() == (long_corpus / "p.json").read_bytes()
     assert ingest_peak - load_peak < 1.5 * out.stat().st_size
+
+
+def test_ingest_peak_does_not_grow_with_the_corpus(long_corpus):
+    # a directory is read, built and written one annotation file at a time, so
+    # the peak follows the largest file, not the count: two files hold it
+    few = long_corpus / "few"
+    few.mkdir()
+    files = sorted((long_corpus / "corpus").iterdir(), key=lambda path: path.stat().st_size)
+    for path in files[-2:]:
+        (few / path.name).write_bytes(path.read_bytes())
+    peaks = []
+    for source in (few, long_corpus / "corpus"):
+        out = long_corpus / f"{source.name}.json"
+        code, _, peak = _traced_peak(
+            lambda: main(["ingest", "--in", str(source), "--out", str(out)]))
+        assert code == 0
+        peaks.append(peak)
+    assert peaks[1] < 1.2 * peaks[0]
+
+
+@pytest.mark.parametrize("malformed", [False, True])
+def test_streamed_ingest_reports_errors_in_load_order(tmp_path, capsys, malformed):
+    # the repeated doc_id is seen first, yet a later malformed file is what is reported
+    corpus, out = tmp_path / "corpus", tmp_path / "p.json"
+    corpus.mkdir()
+    for name in ("a.json", "b.json"):
+        (corpus / name).write_text(json.dumps(random_annotation(0, n_pages=2)))
+    if malformed:
+        (corpus / "c.json").write_text('{"doc_id": ')
+    out.write_bytes(b"earlier output")
+    assert main(["ingest", "--in", str(corpus), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    if malformed:
+        assert err.startswith(f"error: MalformedInput: {corpus / 'c.json'}: not valid JSON: ")
+    else:
+        assert err == (f"error: DuplicateId: {corpus / 'b.json'}: document 'synt00000' "
+                       f"was already read from {corpus / 'a.json'}\n")
+    assert out.read_bytes() == b"earlier output"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "p.json"]
 
 
 def test_elements_stored_out_of_reading_order_are_rejected(tmp_path, corpus_dir, capsys):

@@ -27,7 +27,7 @@ GOLDEN = {
     "eval.json": "a523ff2fc4cd57aa71e2ee60ce5d16fddd3ab04646ab186ef662940eea70b069",
     "eval.txt": "3885e0d3b7787a6cfa8b2d3f7e394f510fbdd20f629efa07870d18ab54c093cc",
     "preds.jsonl": "b1f744353a7586c774a548e4eaffd1c574900685766905a53e35973e2faf5c8d",
-    "processed.json": "cc822ae4f9f5b2ea0c7252bc4e63895831ae26390ef9a5a8367d8b98ac1f1971",
+    "processed.json": "76f84e17b12aa454bdc7d27fa8a1a63786a9e90aa1f4fb8e64fab4f9e379bcc5",
     "raw.jsonl": "64b7715119c91c1123b158b96e1d6983341d1db6d00551766ba883d1a4913681",
     "raw.jsonl.manifest.json": "1b93f6fe19ce22f3b6fc508d94f94275661b9c27c9eeceacc23c70c813c78a4a",
     "splits/test.jsonl": "dc4d06312600c06b8635be40ef267bfe370b897cbacd3ddab4918212e94d2cd7",
