@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import check_range
 from .generator import QARecord
-from .hashing import stable_unit
+from .hashing import stable_unit_prefix
 from .model import TaskId
 from .templates import canonical_binding, load_templates
 
@@ -64,8 +64,8 @@ def _balance_stage(records, cfg: BalanceConfig, stage: str, bucket_of, cap_of):
         cap = cap_of([len(qids) for qids in buckets.values()])
         for bucket, qids in buckets.items():
             if len(qids) > cap:
-                salt = f"{stage}|{task}|{pattern}|{bucket}"
-                qids = sorted(qids, key=lambda q: (stable_unit(cfg.seed, salt, q), q))[:cap]
+                rank = stable_unit_prefix(cfg.seed, f"{stage}|{task}|{pattern}|{bucket}")
+                qids = sorted(qids, key=lambda q: (rank(q), q))[:cap]
             keep.update(qids)
     return [r for r in records if r.task is TaskId.C or r.qid in keep]
 

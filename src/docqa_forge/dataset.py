@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import BadParameter, BadRatios, IoFailure, SchemaViolation
-from .generator import QARecord, count_by_type
+from .generator import Binding, QARecord, count_by_type
 from .model import TaskId
 from .programs import AnswerValue
 from .templates import SLOT_VALUES, QuestionType, load_templates
@@ -49,10 +49,10 @@ def answer_from_json(data) -> AnswerValue:
 
 
 @lru_cache(maxsize=1)
-def _template_classes() -> dict[str, tuple[str, str, str, TaskId, QuestionType, frozenset]]:
+def _template_classes() -> dict[str, tuple[str, str, str, TaskId, QuestionType, tuple]]:
     """template_id -> (the registry's id, task, qtype, both as enums, its slot names)."""
     return {t.template_id: (t.template_id, t.task.value, t.qtype.value, t.task, t.qtype,
-                            frozenset(slot.name for slot in t.slots))
+                            t.slot_names)
             for t in load_templates()}
 
 
@@ -82,18 +82,20 @@ def record_from_json(data) -> QARecord:
         raise SchemaViolation(f"page must be an integer or null (qid {qid})")
     if (page is None) != (task_id is TaskId.C):
         raise SchemaViolation(f"page must be set exactly for Tasks A/B (qid {qid})")
-    if not isinstance(binding, dict) or binding.keys() != slot_names:
+    names = tuple(binding) if isinstance(binding, dict) else None
+    if names == slot_names:
+        names = slot_names  # the registry's tuple; names in another order stay the file's
+    elif names is None or binding.keys() != set(slot_names):
         raise SchemaViolation(f"bindings must be an object naming exactly the slots "
                               f"{sorted(slot_names)} of template {template_id!r} (qid {qid})")
     answer = answer_from_json(answer)
     if not answer.in_space_of(task_id):
         raise SchemaViolation(f"answer {answer.canonical()} is outside the Task {task} "
                               f"answer space (qid {qid})")
-    for name, value in binding.items():  # one shared str per closed-vocabulary word
-        if type(value) is str:
-            binding[name] = _WORDS.get(value, value)
-    return QARecord(qid, task_id, qtype_id, doc_id, page, question, template_id, binding,
-                    answer)
+    # one shared str per closed-vocabulary word
+    values = tuple([_WORDS.get(v, v) if type(v) is str else v for v in binding.values()])
+    return QARecord(qid, task_id, qtype_id, doc_id, page, question, template_id,
+                    Binding(names, values), answer)
 
 
 def _json_value(value) -> str:
@@ -223,19 +225,25 @@ def atomic_write_lines(path, lines) -> None:
 
 def _atomic_write(path, chunks) -> None:
     """Write the strings in chunks, as they come, to a temporary file that then replaces
-    path. Any exception removes the temporary file; an OSError becomes IoFailure."""
+    path. Any exception removes the temporary file and then each parent directory the
+    write created that is still empty; an OSError becomes IoFailure."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    created = [parent for parent in path.parents if not parent.exists()]
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with tmp.open("w", encoding="utf-8") as out:
             out.writelines(chunks)
         tmp.replace(path)
+        created = []
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
     finally:
         with suppress(OSError):  # e.g. NotADirectoryError when the parent is a file
             tmp.unlink(missing_ok=True)
+        for parent in created:  # deepest first; rmdir keeps one that is not empty
+            with suppress(OSError):
+                parent.rmdir()
 
 
 def json_text(data) -> str:

@@ -11,12 +11,13 @@ import itertools
 import json
 import os
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 from .errors import BadParameter, OverflowAnswer, check_range
 from .graphs import build_graphs
-from .hashing import stable_hex, stable_unit
+from .hashing import stable_hex, stable_unit, stable_unit_prefix
 from .ingest import Exclusion, validate_for_generation
 from .model import Document, TaskId
 from .programs import AnswerValue, compile_program, execute, scope_for
@@ -53,6 +54,36 @@ class GenConfig:
         return stable_hex("config", blob)
 
 
+class Binding(Mapping):
+    """A record's slot values, read-only: the slot names, one tuple shared per
+    template, and the values in that order. It equals and repr()s as its dict."""
+
+    __slots__ = ("_names", "_values")
+
+    def __init__(self, names: tuple[str, ...], values: tuple):
+        self._names, self._values = names, values
+
+    def __getitem__(self, name):
+        if name not in self._names:
+            raise KeyError(name)
+        return self._values[self._names.index(name)]
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def items(self):
+        return zip(self._names, self._values)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    def __reduce__(self):
+        return type(self), (self._names, self._values)
+
+
 @dataclass(slots=True)
 class QARecord:
     qid: str
@@ -62,7 +93,7 @@ class QARecord:
     page_index: int | None
     question: str
     template_id: str
-    binding: dict
+    binding: Mapping  # a Binding, or the dict of a hand-built record
     answer: AnswerValue
     # execute's per-step output sizes for this answer (see programs.trace_steps);
     # kept for --trace, not part of the record's JSON or equality.
@@ -94,8 +125,8 @@ def make_qid(doc_id: str, page_index: int | None, template_id: str, binding: dic
     return stable_hex("qid", doc_id, "" if page_index is None else page_index, template_id, key)
 
 
-def _evaluate_group(tpl, scope, graphs) -> list[tuple]:
-    """(binding, canonical key, answer, step sizes) for every binding of tpl's
+def _evaluate_group(tpl, scope, graphs) -> list[list]:
+    """[binding, canonical key, answer, step sizes, None] for every binding of tpl's
     group in one scope; answer is None where every template of the group drops it.
 
     The templates of a group share their slots and their program (see
@@ -111,7 +142,7 @@ def _evaluate_group(tpl, scope, graphs) -> list[tuple]:
             answer = None
         if answer is not None and answer.kind == "na" and tpl.task != TaskId.B:
             answer = None  # only Task B keeps unanswerable questions
-        rows.append((binding, canonical_binding(binding), answer, tuple(sizes)))
+        rows.append([binding, canonical_binding(binding), answer, tuple(sizes), None])
     return rows
 
 
@@ -121,33 +152,37 @@ def _cap_rows(rows, cfg: GenConfig, doc_id: str, page_index, template_id: str):
     cap = cfg.per_template_cap
     if cap is None or len(rows) <= cap:
         return rows
-    ranked = sorted(rows, key=lambda row: stable_unit(cfg.seed, "cap", doc_id, page_index,
-                                                      template_id, row[1]))
+    rank = stable_unit_prefix(cfg.seed, "cap", doc_id, page_index, template_id)
+    ranked = sorted(rows, key=lambda row: rank(row[1]))
     keep = {row[1] for row in ranked[:cap]}
     return [row for row in rows if row[1] in keep]
 
 
 def _generate_scope(templates, scope, graphs, cfg: GenConfig) -> list[QARecord]:
-    """Records of templates in one scope, in registry order; each template
-    group's bindings and answers are computed once, by its first template."""
+    """Records of templates in one scope, in registry order; each template group's
+    rows are computed once, by its first template, and each row's Binding once, by
+    its first record, for the records of all the group's templates."""
     doc_id = scope.doc.doc_id
     page_index = None if scope.page is None else scope.page.index
-    evaluated: dict[str, list[tuple]] = {}
+    evaluated: dict[str, list[list]] = {}
     records = []
     for tpl in templates:
         rows = evaluated.get(tpl.group)
         if rows is None:
             rows = evaluated[tpl.group] = _evaluate_group(tpl, scope, graphs)
         task, qtype, template_id = tpl.task, tpl.qtype, tpl.template_id
-        for binding, key, answer, sizes in _cap_rows(rows, cfg, doc_id, page_index, template_id):
+        for row in _cap_rows(rows, cfg, doc_id, page_index, template_id):
+            binding, key, answer, sizes, shared = row
             if answer is None:
                 continue
             qid = make_qid(doc_id, page_index, template_id, binding, key=key)
             if answer.kind == "na" and stable_unit(cfg.seed, "na", qid) >= cfg.na_retention:
                 continue
             question = instantiate(tpl, binding, cfg.seed, validated=True, key=key)
+            if shared is None:
+                shared = row[4] = Binding(tpl.slot_names, tuple(binding.values()))
             records.append(QARecord(qid, task, qtype, doc_id, page_index, question.text,
-                                    template_id, dict(binding), answer, sizes))
+                                    template_id, shared, answer, sizes))
     return records
 
 

@@ -25,5 +25,17 @@ def stable_unit(*parts: object) -> float:
     return stable_int(*parts) / 2.0 ** 64
 
 
+def stable_unit_prefix(*prefix: object):
+    """The function part -> stable_unit(*prefix, part), which hashes the prefix
+    once and copies that sha256 state for each part."""
+    head = sha256("\x1f".join(map(str, (*prefix, ""))).encode())
+
+    def unit(part: object) -> float:
+        h = head.copy()
+        h.update(str(part).encode())
+        return int.from_bytes(h.digest()[:8], "big") / 2.0 ** 64
+    return unit
+
+
 def stable_hex(*parts: object) -> str:
     return _digest(parts)[:8].hex()

@@ -93,6 +93,11 @@ class QuestionTemplate:
     slots: tuple[SlotSpec, ...]
 
     @cached_property
+    def slot_names(self) -> tuple[str, ...]:
+        """The slot names in slot order: the keys of the template's bindings."""
+        return tuple(slot.name for slot in self.slots)
+
+    @cached_property
     def pieces(self) -> tuple[tuple[str, ...], tuple[SlotSpec, ...]]:
         """The pattern split at its slot tokens: n + 1 literals around n slots,
         the slots in the order their tokens appear."""
@@ -116,8 +121,8 @@ class QuestionString:
     template_id: str
 
 
-def canonical_binding(binding: dict) -> str:
-    return ";".join(f"{k}={binding[k]}" for k in sorted(binding))
+def canonical_binding(binding) -> str:
+    return ";".join([f"{k}={v}" for k, v in sorted(binding.items())])
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,17 @@ def test_ingest_rejects_a_page_size_that_is_not_finite(tmp_path, capsys, size, v
     assert not out.exists()
 
 
+def test_failed_ingest_leaves_no_directory_it_created(tmp_path, corpus_dir, capsys):
+    # ingest from a directory opens its output before it reads the files
+    (corpus_dir / "zz-bad.json").write_text("{")
+    (tmp_path / "kept").mkdir()
+    for out in (tmp_path / "newdir" / "sub" / "p.json", tmp_path / "kept" / "new" / "p.json"):
+        assert main(["ingest", "--in", str(corpus_dir), "--out", str(out)]) == 1
+        assert "zz-bad.json" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "kept"]
+    assert list((tmp_path / "kept").iterdir()) == []
+
+
 def test_generate_trace_output(tmp_path, corpus_dir):
     raw = tmp_path / "raw.jsonl"
     trace = tmp_path / "trace.jsonl"
@@ -742,6 +753,7 @@ def _a01_line(i, **fields):
     ("split", "doc_id", ["pg0000"]),
     ("stats", "bindings", {"E": "table"}),
     ("eval", "doc_id", 7),
+    ("balance", "bindings", ["E", "pos"]),  # the slot names, but not an object
 ])
 def test_bad_record_is_named_in_the_error(tmp_path, capsys, command, field, value):
     records = tmp_path / "bad.jsonl"

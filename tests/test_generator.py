@@ -46,6 +46,25 @@ def test_existence_no_record_present(p1_doc):
     assert hits[0].answer.value == "no"
 
 
+def test_templates_of_one_group_share_each_binding_row(p1_doc):
+    # a group's bindings are enumerated once per scope, and the read-only
+    # binding of each row is one object for the records of all its templates
+    records = generate_document(p1_doc, GenConfig(seed=7, na_retention=1.0))[0]
+    rows: dict[tuple, list] = {}
+    for r in records:
+        row = (r.page_index, REG.by_id(r.template_id).group, canonical_binding(r.binding))
+        rows.setdefault(row, []).append(r)
+    shared = [rs for rs in rows.values() if len({r.template_id for r in rs}) > 1]
+    assert {r.task for rs in shared for r in rs} == {TaskId.A, TaskId.B, TaskId.C}
+    for rs in shared:
+        assert all(r.binding is rs[0].binding for r in rs)
+    with pytest.raises(TypeError):
+        records[0].binding["E"] = "figure"
+    assert len({id(r.binding) for r in records}) == len(rows)
+    # the slot names are a tuple of the registry's, not one per binding
+    assert len({id(r.binding._names) for r in records}) <= len({r.template_id for r in records})
+
+
 def test_records_sorted_canonically_within_template(p1_doc):
     from docqa_forge.templates import canonical_binding
 

@@ -19,6 +19,7 @@ from docqa_forge.balance import BalanceConfig, balance_report
 from docqa_forge.dataset import jsonl_lines, split_corpus
 from docqa_forge.errors import ForgeError, SchemaViolation
 from docqa_forge.generator import GenConfig, generate_corpus, generate_document
+from docqa_forge.hashing import stable_unit, stable_unit_prefix
 from docqa_forge.ingest import (
     document_from_processed,
     document_to_processed,
@@ -233,3 +234,11 @@ def test_balance_and_split_do_not_depend_on_input_order(seed):
     assert [r.qid for r in kept_shuffled] == [r.qid for r in shuffled if r.qid in kept_qids]
     assert balance_report(shuffled, kept_shuffled) == report
     assert _split_qids(kept_shuffled) == split_qids
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SCALARS, max_size=4), st.lists(_SCALARS, min_size=1, max_size=4))
+def test_a_hashed_prefix_gives_stable_unit_of_prefix_and_part(prefix, parts):
+    # balance ranks a bucket's qids by the prefix's hash state, copied per qid
+    unit = stable_unit_prefix(*prefix)
+    assert [unit(part) for part in parts] == [stable_unit(*prefix, part) for part in parts]
