@@ -229,8 +229,9 @@ def _atomic_write(path, chunks) -> None:
     write created that is still empty; an OSError becomes IoFailure."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    created = [parent for parent in path.parents if not parent.exists()]
-    try:
+    created = []
+    try:  # exists() can raise too, e.g. PermissionError on an ancestor
+        created = [parent for parent in path.parents if not parent.exists()]
         path.parent.mkdir(parents=True, exist_ok=True)
         with tmp.open("w", encoding="utf-8") as out:
             out.writelines(chunks)

@@ -17,7 +17,7 @@ from operator import attrgetter
 
 from .errors import BadParameter, OverflowAnswer, check_range
 from .graphs import build_graphs
-from .hashing import stable_hex, stable_unit, stable_unit_prefix
+from .hashing import stable_hex, stable_unit
 from .ingest import Exclusion, validate_for_generation
 from .model import Document, TaskId
 from .programs import AnswerValue, compile_program, execute, scope_for
@@ -64,9 +64,10 @@ class Binding(Mapping):
         self._names, self._values = names, values
 
     def __getitem__(self, name):
-        if name not in self._names:
-            raise KeyError(name)
-        return self._values[self._names.index(name)]
+        try:
+            return self._values[self._names.index(name)]
+        except ValueError:
+            raise KeyError(name) from None
 
     def __iter__(self):
         return iter(self._names)
@@ -125,9 +126,10 @@ def make_qid(doc_id: str, page_index: int | None, template_id: str, binding: dic
     return stable_hex("qid", doc_id, "" if page_index is None else page_index, template_id, key)
 
 
-def _evaluate_group(tpl, scope, graphs) -> list[list]:
-    """[binding, canonical key, answer, step sizes, None] for every binding of tpl's
-    group in one scope; answer is None where every template of the group drops it.
+def _evaluate_group(tpl, scope, graphs) -> list[tuple]:
+    """(binding, canonical key, answer, step sizes) for every binding of tpl's
+    group in one scope; answer is None where every template of the group drops
+    it, and otherwise the binding is a Binding of tpl's slot names.
 
     The templates of a group share their slots and their program (see
     GROUP_PROGRAMS), so any of them gives the same bindings and answers.
@@ -142,7 +144,10 @@ def _evaluate_group(tpl, scope, graphs) -> list[list]:
             answer = None
         if answer is not None and answer.kind == "na" and tpl.task != TaskId.B:
             answer = None  # only Task B keeps unanswerable questions
-        rows.append([binding, canonical_binding(binding), answer, tuple(sizes), None])
+        key = canonical_binding(binding)
+        if answer is not None:  # enumerate_bindings keys a dict in tpl's slot order
+            binding = Binding(tpl.slot_names, tuple(binding.values()))
+        rows.append((binding, key, answer, tuple(sizes)))
     return rows
 
 
@@ -152,37 +157,33 @@ def _cap_rows(rows, cfg: GenConfig, doc_id: str, page_index, template_id: str):
     cap = cfg.per_template_cap
     if cap is None or len(rows) <= cap:
         return rows
-    rank = stable_unit_prefix(cfg.seed, "cap", doc_id, page_index, template_id)
-    ranked = sorted(rows, key=lambda row: rank(row[1]))
+    ranked = sorted(rows, key=lambda row: stable_unit(cfg.seed, "cap", doc_id, page_index,
+                                                      template_id, row[1]))
     keep = {row[1] for row in ranked[:cap]}
     return [row for row in rows if row[1] in keep]
 
 
 def _generate_scope(templates, scope, graphs, cfg: GenConfig) -> list[QARecord]:
     """Records of templates in one scope, in registry order; each template group's
-    rows are computed once, by its first template, and each row's Binding once, by
-    its first record, for the records of all the group's templates."""
+    rows, and so each row's Binding, are computed once, by its first template."""
     doc_id = scope.doc.doc_id
     page_index = None if scope.page is None else scope.page.index
-    evaluated: dict[str, list[list]] = {}
+    evaluated: dict[str, list[tuple]] = {}
     records = []
     for tpl in templates:
         rows = evaluated.get(tpl.group)
         if rows is None:
             rows = evaluated[tpl.group] = _evaluate_group(tpl, scope, graphs)
         task, qtype, template_id = tpl.task, tpl.qtype, tpl.template_id
-        for row in _cap_rows(rows, cfg, doc_id, page_index, template_id):
-            binding, key, answer, sizes, shared = row
+        for binding, key, answer, sizes in _cap_rows(rows, cfg, doc_id, page_index, template_id):
             if answer is None:
                 continue
             qid = make_qid(doc_id, page_index, template_id, binding, key=key)
             if answer.kind == "na" and stable_unit(cfg.seed, "na", qid) >= cfg.na_retention:
                 continue
             question = instantiate(tpl, binding, cfg.seed, validated=True, key=key)
-            if shared is None:
-                shared = row[4] = Binding(tpl.slot_names, tuple(binding.values()))
             records.append(QARecord(qid, task, qtype, doc_id, page_index, question.text,
-                                    template_id, shared, answer, sizes))
+                                    template_id, binding, answer, sizes))
     return records
 
 

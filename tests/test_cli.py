@@ -161,6 +161,25 @@ def test_failed_ingest_leaves_no_directory_it_created(tmp_path, corpus_dir, caps
     assert list((tmp_path / "kept").iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["ingest", "generate"])
+def test_an_output_ancestor_that_cannot_be_probed_is_an_io_failure(
+        tmp_path, corpus_dir, capsys, monkeypatch, command):
+    # stat on a path under a directory the user cannot traverse raises
+    # PermissionError; as root, chmod cannot show it, so Path.exists stands in
+    locked = tmp_path / "locked" / "sub"
+    exists = Path.exists
+
+    def probe(path, *args, **kwargs):
+        if path == locked:
+            raise PermissionError(13, "Permission denied", str(path))
+        return exists(path, *args, **kwargs)
+    monkeypatch.setattr(Path, "exists", probe)
+    argv = [command, "--in", str(corpus_dir), "--out", str(locked / "out.json")]
+    assert main(argv + (["--seed", "1"] if command == "generate" else [])) == 1
+    err = capsys.readouterr().err
+    assert "IoFailure" in err and "cannot write" in err and "Permission denied" in err
+
+
 def test_generate_trace_output(tmp_path, corpus_dir):
     raw = tmp_path / "raw.jsonl"
     trace = tmp_path / "trace.jsonl"
