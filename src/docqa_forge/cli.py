@@ -58,56 +58,44 @@ _INGEST_HEAD = '{"documents": [\n'  # then one document a line, "," ending all b
 
 
 def load_corpus(path) -> list[Document]:
-    """Accept a directory of annotation files, one annotation file, or a
-    processed corpus file produced by `forge ingest`. Every error names the
-    file it comes from, and each doc_id may appear only once."""
-    path = Path(path)
-    if path.is_dir():
-        return list(_unique(_annotation_files(path), {}))
-    # a pipe is read once, by read_bytes: the layout's reader would open and drop it
-    documents = _ingest_layout_documents(path) if path.is_file() else None
-    if documents is None:
-        raw = read_bytes(path)
-        with _in_file(path):
-            data = decode_json(raw)
-            del raw  # only the decoded tree is needed from here on
-            if isinstance(data, dict) and "documents" in data:
-                documents = data["documents"]
-                if not isinstance(documents, list):
-                    raise MalformedInput("documents must be a list")
-                for i, document in enumerate(documents):
-                    documents[i] = document_from_processed(document)  # the dict is released
-            else:
-                documents = [preprocess_document(parse_document(data))]
-    return list(_unique(((path, doc) for doc in documents), {}))
+    """Accept a processed corpus file produced by `forge ingest`, one annotation file, or
+    a directory standing for its *.json files in name order. Every error names the file
+    it comes from, and each doc_id may appear only once."""
+    return list(_documents(Path(path), {}))
 
 
-def _annotation_files(directory: Path):
-    """(file, preprocessed document) for each annotation file under directory, in name
-    order, each file read once the pair before it has been used."""
-    files = sorted(directory.glob("*.json"))
+def _documents(path: Path, sources: dict):
+    """The documents of each file path stands for, each file read once the documents
+    before it have been used, with sources mapping each doc_id to its file. A repeated
+    doc_id raises DuplicateId after the last document."""
+    files = sorted(path.glob("*.json")) if path.is_dir() else [path]
     if not files:
-        raise IoFailure(f"no .json documents under {directory}")
-    for child in files:
-        raw = read_bytes(child)
-        with _in_file(child):
-            doc, raw = preprocess_document(parse_document(raw)), None
-        yield child, doc
-        doc = None  # released before the next file is read
-
-
-def _unique(loaded, sources: dict):
-    """The documents of the (source, document) pairs in loaded, in order, with sources
-    mapping each doc_id to its source. A repeated doc_id raises DuplicateId at the end."""
+        raise IoFailure(f"no .json documents under {path}")
     repeated = None
-    for source, doc in loaded:
-        if doc.doc_id not in sources:
-            sources[doc.doc_id] = source
-        elif repeated is None:
-            repeated = DuplicateId(f"{source}: document {doc.doc_id!r} was already read "
-                                   f"from {sources[doc.doc_id]}")
-        yield doc
-        doc = None
+    for file in files:
+        # a pipe is read once, by read_bytes: the layout's reader would open and drop it
+        documents = _ingest_layout_documents(file) if file.is_file() else None
+        if documents is None:
+            raw = read_bytes(file)
+            with _in_file(file):
+                data, raw = decode_json(raw), None  # only the decoded tree is needed
+                if isinstance(data, dict) and "documents" in data:
+                    documents, data = data["documents"], None
+                    if not isinstance(documents, list):
+                        raise MalformedInput("documents must be a list")
+                    for i, doc in enumerate(documents):
+                        documents[i] = document_from_processed(doc)  # the dict is released
+                else:
+                    doc, data = parse_document(data), None
+                    documents = [preprocess_document(doc)]
+        for doc in documents:
+            if doc.doc_id not in sources:
+                sources[doc.doc_id] = file
+            elif repeated is None:
+                repeated = DuplicateId(f"{file}: document {doc.doc_id!r} was already read "
+                                       f"from {sources[doc.doc_id]}")
+            yield doc
+        doc = documents = None  # released before the next file is read
     if repeated is not None:
         raise repeated
 
@@ -175,9 +163,8 @@ def _output_json(data, out) -> None:
 
 
 def _cmd_ingest(args) -> int:
-    path, sources = Path(args.input), {}
-    loaded = _annotation_files(path) if path.is_dir() else ((path, d) for d in load_corpus(path))
-    _atomic_write(args.out, _ingest_chunks(_unique(loaded, sources)))  # a directory streams
+    sources = {}
+    _atomic_write(args.out, _ingest_chunks(_documents(Path(args.input), sources)))
     print(f"ingested {len(sources)} documents -> {args.out}", file=sys.stderr)
     return 0
 

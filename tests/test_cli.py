@@ -701,6 +701,47 @@ def test_streamed_ingest_reports_errors_in_load_order(tmp_path, capsys, malforme
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "p.json"]
 
 
+def test_a_directory_reads_each_file_as_the_file_alone(tmp_path):
+    # an annotation, a corpus in ingest's layout and an indented corpus, side by side
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.json").write_text(json.dumps(random_annotation(900, n_pages=2)))
+    (corpus / "b.json").write_text(_ingest_text(_processed_payload(2, n_pages=2)))
+    indented = {"documents": [document_to_processed(random_processed_document(seed, n_pages=2))
+                              for seed in (2, 3)]}
+    (corpus / "c.json").write_text(json.dumps(indented, indent=2))
+    documents = load_corpus(corpus)
+    assert documents == [doc for path in sorted(corpus.iterdir()) for doc in load_corpus(path)]
+    assert len(documents) == 5
+
+    processed = tmp_path / "p.json"
+    assert main(["ingest", "--in", str(corpus), "--out", str(processed)]) == 0
+    raw = []
+    for source in (corpus, processed):
+        out = tmp_path / f"{source.stem}.jsonl"
+        assert main(["generate", "--in", str(source), "--out", str(out), "--seed", "3"]) == 0
+        raw.append(out.read_bytes())
+    assert raw[0] == raw[1] and raw[0]
+
+
+@pytest.mark.parametrize("command", ["ingest", "generate"])
+@pytest.mark.parametrize("processed_first", [True, False])
+def test_a_doc_id_repeated_across_kinds_of_file_names_both(tmp_path, capsys, command,
+                                                           processed_first):
+    corpus, out = tmp_path / "corpus", tmp_path / "out" / "p.json"
+    corpus.mkdir()
+    processed, annotation = (("a.json", "b.json") if processed_first
+                             else ("b.json", "a.json"))
+    (corpus / processed).write_text(_ingest_text(_processed_payload(2, n_pages=2)))
+    (corpus / annotation).write_text(json.dumps(random_annotation(1, n_pages=2)))
+    args = [command, "--in", str(corpus), "--out", str(out)]
+    assert main(args + (["--seed", "1"] if command == "generate" else [])) == 1
+    assert capsys.readouterr().err == (
+        f"error: DuplicateId: {corpus / 'b.json'}: document 'synt00001' "
+        f"was already read from {corpus / 'a.json'}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
+
 def test_elements_stored_out_of_reading_order_are_rejected(tmp_path, corpus_dir, capsys):
     processed = tmp_path / "corpus.json"
     assert main(["ingest", "--in", str(corpus_dir / "synth.json"), "--out", str(processed)]) == 0
