@@ -12,9 +12,10 @@ import json
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
-from .balance import BalanceConfig, balance_answers, balance_parameters, balance_report
+from .balance import BalanceConfig, balance_answers, balance_parameters, balance_report, balance_row
 from .dataset import (
     DatasetSplit,
     _atomic_write,
@@ -27,6 +28,8 @@ from .dataset import (
     read_bytes,
     read_dataset,
     read_records_jsonl,
+    read_rows_jsonl,
+    reread_records_jsonl,
     split_corpus,
     write_dataset,
     write_records_jsonl,
@@ -228,12 +231,14 @@ def _trace_lines(records):
 def _cmd_balance(args) -> int:
     cfg = BalanceConfig(seed=args.seed, answer_ratio=args.answer_ratio,
                         param_ratio=args.param_ratio)
-    records = read_records_jsonl(args.input)
-    after = balance_parameters(balance_answers(records, cfg), cfg)
-    write_records_jsonl(after, args.out)
-    if args.report:
-        atomic_write_json(args.report, balance_report(records, after))
-    print(f"balanced {len(records)} -> {len(after)} records", file=sys.stderr)
+    # two reads of --in: one for the rows, one for the kept records
+    rows, stamp = read_rows_jsonl(args.input, partial(balance_row, shared={}))
+    after = balance_parameters(balance_answers(rows, cfg), cfg)
+    report = balance_report(rows, after) if args.report else None
+    write_records_jsonl(reread_records_jsonl(args.input, stamp, rows, after), args.out)
+    if report is not None:
+        atomic_write_json(args.report, report)
+    print(f"balanced {len(rows)} -> {len(after)} records", file=sys.stderr)
     return 0
 
 
@@ -372,9 +377,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_ratios(argv: list[str]) -> list[str]:
+    """argv with a value after --ratios that starts with "-" attached as
+    --ratios=VALUE: argparse reads -0.5,0.5,1, which is not one plain number,
+    as a flag, and would stop before check_ratios names the rule."""
+    attached: list[str] = []
+    for arg in argv:
+        if attached[-1:] == ["--ratios"] and arg.startswith("-") and not arg.startswith("--"):
+            attached[-1] = f"--ratios={arg}"
+        else:
+            attached.append(arg)
+    return attached
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_ratios(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except BadParameter as exc:

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import random
 from collections import Counter
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from stat import S_ISREG
 
 from .errors import BadParameter, BadRatios, IoFailure, SchemaViolation
 from .generator import Binding, QARecord, count_by_type
@@ -80,7 +82,7 @@ def record_from_json(data) -> QARecord:
                               f"task {task!r}/{qtype!r} (qid {qid})")
     if page is not None and (isinstance(page, bool) or not isinstance(page, int)):
         raise SchemaViolation(f"page must be an integer or null (qid {qid})")
-    if (page is None) != (task_id is TaskId.C):
+    if (page is None) != (task_value == "C"):  # a str compare: TaskId.C is a slow lookup
         raise SchemaViolation(f"page must be set exactly for Tasks A/B (qid {qid})")
     names = tuple(binding) if isinstance(binding, dict) else None
     if names == slot_names:
@@ -141,80 +143,153 @@ def read_bytes(path: Path) -> bytes:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
-def jsonl_lines(path, parse) -> list:
-    """parse(value) for the value on each nonblank line of a JSONL file, in order.
+_BLOCK = 1 << 13  # bytes read at once, before the rest of the line they end in
 
-    The file is read one line at a time, so only the parsed values are held;
-    lines are numbered as str.splitlines() numbers the whole decoded file.
+
+def _nonblank_lines(chunks, path: Path):
+    """(lineno, line) for each nonblank line of the binary file chunks, in order,
+    with the spaces and tabs around it stripped. Lines are numbered as
+    str.splitlines() numbers the whole decoded file. Raises SchemaViolation naming
+    path:lineno for the first line that is not UTF-8."""
+    lineno = 0
+    # Each block ends at a b"\n", which ends a line for splitlines() too
+    # (alone or as the end of "\r\n") and is never inside a UTF-8 sequence.
+    for block in iter(lambda: chunks.read(_BLOCK) + chunks.readline(), b""):
+        try:
+            text, is_utf8 = block.decode("utf-8"), True
+        except UnicodeDecodeError:
+            # Each bad byte becomes a lone surrogate, which a line then
+            # fails to encode, so the lines before it are read first.
+            text, is_utf8 = block.decode("utf-8", "surrogateescape"), False
+        for line in text.splitlines():
+            lineno += 1
+            if not line.strip():
+                continue
+            if not is_utf8:
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise SchemaViolation(f"{path}:{lineno}: not valid UTF-8") from exc
+            # Spaces and tabs are the only JSON whitespace a split line can hold.
+            yield lineno, line.strip(" \t")
+
+
+_scan = json.JSONDecoder().scan_once
+
+
+def _decode_line(line: str, path: Path, lineno: int):
+    """The one JSON value on a stripped line, else SchemaViolation naming path:lineno."""
+    try:
+        data, end = _scan(line, 0)
+        if end != len(line):
+            raise ValueError("extra data after the value")
+    except (StopIteration, ValueError, RecursionError) as exc:
+        raise SchemaViolation(f"{path}:{lineno}: not valid JSON") from exc
+    return data
+
+
+def jsonl_lines(path, take) -> tuple:
+    """take(value) for the value on each nonblank line of a JSONL file, in order;
+    returns the file's stamp, which changes when the file is replaced or written.
+
+    The file is read a block of lines at a time, so only what take keeps is
+    held; lines are numbered as str.splitlines() numbers the whole decoded file.
     Raises IoFailure when the file cannot be opened or read, and
     SchemaViolation naming path:lineno for the first line, in file order,
-    that is not UTF-8, is not one valid JSON value, or that parse rejects
+    that is not UTF-8, is not one valid JSON value, or that take rejects
     with a SchemaViolation.
     """
     path = Path(path)
-    scan = json.JSONDecoder().scan_once
-    parsed = []
-    lineno = 0
     # The values are trees, freed by reference counting; collector passes over
-    # the growing list would only cost time. Restored on every path.
+    # what take keeps would only cost time. Restored on every path.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with path.open("rb") as chunks:
-            # Each chunk ends at a b"\n", which ends a line for splitlines() too
-            # (alone or as the end of "\r\n") and is never inside a UTF-8 sequence.
-            for chunk in chunks:
+        with _reading(path) as chunks:
+            stamp = _stamp(chunks)
+            for lineno, line in _nonblank_lines(chunks, path):
+                data = _decode_line(line, path, lineno)
                 try:
-                    text, is_utf8 = chunk.decode("utf-8"), True
-                except UnicodeDecodeError:
-                    # Each bad byte becomes a lone surrogate, which a line then
-                    # fails to encode, so the lines before it are read first.
-                    text, is_utf8 = chunk.decode("utf-8", "surrogateescape"), False
-                for line in text.splitlines():
-                    lineno += 1
-                    if not line.strip():
-                        continue
-                    if not is_utf8:
-                        try:
-                            line.encode("utf-8")
-                        except UnicodeEncodeError as exc:
-                            raise SchemaViolation(f"{path}:{lineno}: not valid UTF-8") from exc
-                    # Spaces and tabs are the only JSON whitespace a split line can hold.
-                    line = line.strip(" \t")
-                    try:
-                        data, end = scan(line, 0)
-                        if end != len(line):
-                            raise ValueError("extra data after the value")
-                    except (StopIteration, ValueError, RecursionError) as exc:
-                        raise SchemaViolation(f"{path}:{lineno}: not valid JSON") from exc
-                    try:
-                        parsed.append(parse(data))
-                    except SchemaViolation as exc:
-                        raise SchemaViolation(f"{path}:{lineno}: {exc}") from exc
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+                    take(data)
+                except SchemaViolation as exc:
+                    raise SchemaViolation(f"{path}:{lineno}: {exc}") from exc
     finally:
         if gc_was_enabled:
             gc.enable()
-    return parsed
+    return stamp
+
+
+@contextmanager
+def _reading(path: Path):
+    """The file opened for binary reads; an OSError while it is open becomes IoFailure."""
+    try:
+        with path.open("rb") as chunks:
+            yield chunks
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def _stamp(file) -> tuple:
+    """What changes when the open file is replaced or written."""
+    st = os.fstat(file.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def read_records_jsonl(path) -> list[QARecord]:
     """The file's records in order; a second record with the same qid is a SchemaViolation."""
-    seen: dict[str, None] = {}  # a dict holds the qids in about half a set's memory
+    return list(_records_by_qid(Path(path), None)[0].values())
+
+
+def read_rows_jsonl(path, row_of) -> tuple[dict, tuple]:
+    """qid -> row_of(record) for each record of a JSONL file in file order, read
+    and checked as read_records_jsonl reads them, and the file's stamp, for
+    reread_records_jsonl. A file that is not a regular one, such as a pipe, is
+    refused unopened: it could not be read again."""
+    path = Path(path)
+    with suppress(OSError):  # left to open() to report
+        if not S_ISREG(path.stat().st_mode):
+            raise IoFailure(f"cannot read {path} twice: it is not a regular file")
+    return _records_by_qid(path, row_of)
+
+
+def _records_by_qid(path: Path, row_of) -> tuple[dict, tuple]:
+    """qid -> row_of(record), or the record itself, in file order, and the file's stamp."""
+    rows: dict = {}  # a dict holds the qids in about half a set's memory
     last_doc_id = ""
 
-    def parse(data) -> QARecord:
+    def take(data) -> None:
         nonlocal last_doc_id
         record = record_from_json(data)
-        if record.qid in seen:
+        if record.qid in rows:
             raise SchemaViolation(f"duplicate record for qid {record.qid!r}")
-        seen[record.qid] = None
         if record.doc_id != last_doc_id:
             last_doc_id = record.doc_id
         record.doc_id = last_doc_id  # records come grouped by document: one str per run
-        return record
-    return jsonl_lines(path, parse)
+        rows[record.qid] = record if row_of is None else row_of(record)
+    return rows, jsonl_lines(path, take)
+
+
+def reread_records_jsonl(path, stamp, rows, kept):
+    """The records whose qids are in kept, in file order, from a second read of
+    the file read_rows_jsonl made rows and stamp of. A row that is a record is
+    that record; any other kept record is decoded again from its line. Raises
+    IoFailure when the file changed after the first read: its stamp, its count of
+    records, or the qid on a decoded line differs."""
+    path = Path(path)
+    with _reading(path) as chunks:
+        if _stamp(chunks) != stamp:
+            raise IoFailure(f"{path} changed after its first read")
+        try:
+            lines = _nonblank_lines(chunks, path)
+            for (lineno, line), (qid, row) in zip(lines, rows.items(), strict=True):
+                if qid in kept:
+                    if not isinstance(row, QARecord):
+                        row = record_from_json(_decode_line(line, path, lineno))
+                        if row.qid != qid:
+                            raise SchemaViolation(f"qid {row.qid!r} where {qid!r} was")
+                    yield row
+        except (SchemaViolation, ValueError) as exc:  # ValueError: zip's count check
+            raise IoFailure(f"{path} changed after its first read") from exc
 
 
 def atomic_write_lines(path, lines) -> None:

@@ -85,6 +85,13 @@ class Binding(Mapping):
         return type(self), (self._names, self._values)
 
 
+def binding_layout(binding: Mapping) -> tuple:
+    """The binding's slot names and its values, in its order, as one hashable value."""
+    if type(binding) is Binding:
+        return binding._names, binding._values
+    return tuple(binding), tuple(binding.values())
+
+
 @dataclass(slots=True)
 class QARecord:
     qid: str

@@ -3,7 +3,9 @@
 All sampling decisions in the pipeline (synonym picks, NA retention,
 down-sampling survivors) derive from sha256 over explicit strings, so results
 are identical across machines, Python versions, process counts, and record
-arrival order.
+arrival order. The one exception is split's document shuffle
+(dataset.split_corpus), which draws from random.Random(seed); ROADMAP item 8
+is to replace it.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Test-only counterparts of package code: question parsing, the plain record
-encoder, and the two balance stages as one call.
+encoder, and the two balance stages as one call over records.
 
 The package never needs these; the tests use them to check what it writes.
 """
@@ -9,7 +9,12 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from docqa_forge.balance import BalanceConfig, balance_answers, balance_parameters
+from docqa_forge.balance import (
+    BalanceConfig,
+    balance_answers,
+    balance_parameters,
+    balance_row,
+)
 from docqa_forge.generator import QARecord
 from docqa_forge.templates import SLOT_VALUES, QuestionTemplate, SlotSpec, _renderings, load_templates
 
@@ -83,7 +88,18 @@ def record_to_json(record: QARecord) -> dict:
 # Balancing
 # ---------------------------------------------------------------------------
 
+def rows_of(records) -> dict:
+    """qid -> balance row of each record, in order, as `forge balance` reads them."""
+    shared: dict = {}
+    return {r.qid: balance_row(r, shared) for r in records}
+
+
+def kept(records, rows: dict) -> list[QARecord]:
+    """The records whose qids rows holds, in input order."""
+    return [r for r in records if r.qid in rows]
+
+
 def balance(records: list[QARecord], cfg: BalanceConfig) -> list[QARecord]:
-    """Answer-based stage followed by the question-based smoothing stage, as
-    `forge balance` runs them."""
-    return balance_parameters(balance_answers(records, cfg), cfg)
+    """The records the answer stage and then the parameter stage keep, in input
+    order, as `forge balance` writes them."""
+    return kept(records, balance_parameters(balance_answers(rows_of(records), cfg), cfg))

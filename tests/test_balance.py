@@ -4,12 +4,14 @@ import math
 
 import pytest
 
-from reference import balance
+from reference import balance, kept, rows_of
 from docqa_forge.balance import (
     BalanceConfig,
+    Row,
     balance_answers,
     balance_parameters,
     balance_report,
+    balance_row,
     reduction_factor,
 )
 from docqa_forge.errors import BadParameter
@@ -31,10 +33,14 @@ def rec(i, template_id="A12", answer="yes", task=TaskId.A,
                     binding=binding or {"E": "table"}, answer=value)
 
 
+def answers_kept(records, cfg):
+    return kept(records, balance_answers(rows_of(records), cfg))
+
+
 def test_answer_downsampling_90_10():
     records = [rec(i, answer="yes") for i in range(90)]
     records += [rec(90 + i, answer="no") for i in range(10)]
-    out = balance_answers(records, BalanceConfig(seed=7))
+    out = answers_kept(records, BalanceConfig(seed=7))
     yes = [r for r in out if r.answer.value == "yes"]
     no = [r for r in out if r.answer.value == "no"]
     assert len(yes) == 15  # ceil(1.5 x 10)
@@ -42,22 +48,21 @@ def test_answer_downsampling_90_10():
 
 
 def test_already_balanced_group_unchanged():
-    records = [rec(i, answer="yes" if i < 10 else "no") for i in range(20)]
-    assert balance_answers(records, BalanceConfig(seed=7)) == records
+    rows = rows_of(rec(i, answer="yes" if i < 10 else "no") for i in range(20))
+    assert balance_answers(rows, BalanceConfig(seed=7)) is rows
 
 
 def test_single_answer_class_unchanged():
-    records = [rec(i, answer="yes") for i in range(40)]
-    assert balance_answers(records, BalanceConfig(seed=7)) == records
+    rows = rows_of(rec(i, answer="yes") for i in range(40))
+    assert balance_answers(rows, BalanceConfig(seed=7)) is rows
 
 
 def test_output_is_order_preserving_subset():
-    records = [rec(i, answer="yes" if i % 5 else "no") for i in range(200)]
-    out = balance_answers(records, BalanceConfig(seed=3))
-    qids = [r.qid for r in records]
-    out_qids = [r.qid for r in out]
-    assert set(out_qids) <= set(qids)
-    assert out_qids == [q for q in qids if q in set(out_qids)]
+    rows = rows_of(rec(i, answer="yes" if i % 5 else "no") for i in range(200))
+    out = balance_answers(rows, BalanceConfig(seed=3))
+    assert 0 < len(out) < len(rows)
+    assert list(out) == [q for q in rows if q in out]
+    assert all(out[q] is rows[q] for q in out)
 
 
 def test_answer_balance_respects_bound_per_group():
@@ -69,7 +74,7 @@ def test_answer_balance_respects_bound_per_group():
                     for i in range(skew)]
         records += [rec(1000 * g + skew + i, template_id=template_id, answer="no")
                     for i in range(5)]
-    out = balance_answers(records, cfg)
+    out = answers_kept(records, cfg)
     for template_id in ("A12", "A13", "A14"):
         group = [r for r in out if r.template_id == template_id]
         yes = sum(1 for r in group if r.answer.value == "yes")
@@ -85,7 +90,7 @@ def test_parameter_cap_at_double_median():
             records.append(rec(i, template_id="A33", qtype=QuestionType.COUNTING,
                                answer=str(i % 3), binding={"E": label}))
             i += 1
-    out = balance_parameters(records, BalanceConfig(seed=7))
+    out = kept(records, balance_parameters(rows_of(records), BalanceConfig(seed=7)))
     sizes = {}
     for r in out:
         sizes[r.binding["E"]] = sizes.get(r.binding["E"], 0) + 1
@@ -93,9 +98,9 @@ def test_parameter_cap_at_double_median():
 
 
 def test_equal_combination_counts_unchanged():
-    records = [rec(i, binding={"E": label})
-               for i, label in enumerate(["table"] * 8 + ["figure"] * 8)]
-    assert balance_parameters(records, BalanceConfig(seed=7)) == records
+    rows = rows_of(rec(i, binding={"E": label})
+                   for i, label in enumerate(["table"] * 8 + ["figure"] * 8))
+    assert balance_parameters(rows, BalanceConfig(seed=7)) is rows
 
 
 def test_task_c_passes_through_both_stages():
@@ -105,8 +110,10 @@ def test_task_c_passes_through_both_stages():
                    binding={"E": f"Table {i}"})
                for i in range(25)]
     cfg = BalanceConfig(seed=7)
-    assert balance_answers(records, cfg) == records
-    assert balance_parameters(records, cfg) == records
+    rows = rows_of(records)
+    assert list(rows.values()) == records  # a Task C record is its own row
+    assert balance_answers(rows, cfg) is rows
+    assert balance_parameters(rows, cfg) is rows
     assert balance(records, cfg) == records
 
 
@@ -121,8 +128,8 @@ def test_reduction_factor_paper_figures():
 
 
 def test_report_identity_ratios():
-    records = [rec(i, answer="yes" if i % 2 else "no") for i in range(20)]
-    report = balance_report(records, records)
+    rows = rows_of(rec(i, answer="yes" if i % 2 else "no") for i in range(20))
+    report = balance_report(rows, rows)
     assert report["tasks"]["A"]["reduction_factor"] == 1.0
     assert report["answer_class_ratio"]["A"] == 1.0
 
@@ -130,7 +137,7 @@ def test_report_identity_ratios():
 def test_report_counts():
     before = [rec(i, answer="yes") for i in range(50)]
     after = before[:10]
-    report = balance_report(before, after)
+    report = balance_report(rows_of(before), rows_of(after))
     assert report["tasks"]["A"] == {"before": 50, "after": 10, "reduction_factor": 5.0}
     assert report["tasks"]["C"] == {"before": 0, "after": 0, "reduction_factor": None}
 
@@ -158,7 +165,7 @@ def test_adversarial_skew_bound():
                     for i in range(95)]
         records += [rec(base + 95 + i, template_id=template_id, answer="no")
                     for i in range(5)]
-    out = balance_answers(records, cfg)
+    out = answers_kept(records, cfg)
     for template_id in ("A12", "A13", "A14", "A15", "A16"):
         group = [r for r in out if r.template_id == template_id]
         yes = sum(1 for r in group if r.answer.value == "yes")
@@ -183,12 +190,30 @@ def test_report_skew_ratios_by_hand():
     records += [rec(200 + i, template_id="C06", task=TaskId.C,
                     qtype=QuestionType.PARENT_RELATION, answer=AnswerValue.index_set({i}),
                     binding={"E": f"Table {i}"}) for i in range(3)]
-    report = balance_report(records, records)
+    rows = rows_of(records)
+    report = balance_report(rows, rows)
     assert report["answer_class_ratio"] == {"A": 3.5, "B": 1.1667, "C": None}
     assert report["param_combo_ratio"] == {"A": 3.0, "B": 2.3333, "C": None}
 
     # a task with no records left after balancing has no skew to report
-    report = balance_report(records, [r for r in records if r.task != TaskId.B])
+    report = balance_report(rows, rows_of(r for r in records if r.task != TaskId.B))
     assert report["tasks"]["B"] == {"before": 13, "after": 0, "reduction_factor": None}
     assert report["answer_class_ratio"] == {"A": 3.5, "B": None, "C": None}
     assert report["param_combo_ratio"] == {"A": 3.0, "B": None, "C": None}
+
+
+def test_a_row_holds_the_keys_of_its_record_and_equal_rows_are_one_object():
+    shared: dict = {}
+    table = rec(1, template_id="A15", answer="no", binding={"E": "table"})
+    same = rec(2, template_id="A15", answer="no", binding={"E": "table"})
+    row = balance_row(table, shared)
+    assert row == Row(("A", "Can you find a [E] on this page?"), "token:no", "E=table")
+    assert balance_row(same, shared) is row
+    # A18 reads as A15 does: one balance group, and the same strings
+    title = balance_row(rec(3, template_id="A18", answer="yes", binding={"E": "table"}), shared)
+    assert title.group == row.group and title.combo is row.combo
+    assert balance_row(rec(4, template_id="A15", answer="yes", binding={"E": "x"}),
+                       shared).answer_class is title.answer_class
+    c = rec(5, template_id="C06", task=TaskId.C, qtype=QuestionType.PARENT_RELATION,
+            answer=AnswerValue.index_set({1}), binding={"E": "Table 1"})
+    assert balance_row(c, shared) is c

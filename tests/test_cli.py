@@ -13,10 +13,12 @@ import pytest
 
 import docqa_forge
 from conftest import stack_annotation
+from reference import balance
 from synthcorpus import random_annotation, random_processed_document
+from docqa_forge import cli, dataset
 from docqa_forge.balance import BalanceConfig
 from docqa_forge.cli import load_corpus, main
-from docqa_forge.dataset import check_ratios
+from docqa_forge.dataset import check_ratios, read_records_jsonl, write_records_jsonl
 from docqa_forge.errors import BadParameter, ForgeError
 from docqa_forge.generator import GenConfig, resolve_workers
 from docqa_forge.ingest import document_to_processed
@@ -283,6 +285,9 @@ _BALANCE = "balance --in r.jsonl --out b.jsonl --seed 1"
     *[(f"split --in b.jsonl --out-dir s --seed 1 --ratios {v}", None,
        partial(check_ratios, tuple(float(r) for r in v.split(","))))
       for v in ("0.5,0.5", "0.6,0.6,0.1", "0.5,0.5,nan", "0.5,0.5,inf")],
+    # a value that starts with "-" reaches the library whether or not "=" attaches it
+    *[(f"split --in b.jsonl --out-dir s --seed 1 --ratios{sep}-0.5,0.5,1", None,
+       partial(check_ratios, (-0.5, 0.5, 1.0))) for sep in (" ", "=")],
 ])
 def test_bad_parameter_flag_reports_the_library_message(tmp_path, monkeypatch, capsys,
                                                          argv, threads, library_call):
@@ -796,6 +801,141 @@ def test_trace_has_one_line_per_record_for_any_worker_count(tmp_path, corpus_dir
         assert [json.loads(line)["qid"] for line in trace.read_text().splitlines()] == qids
         traces.append(trace.read_bytes())
     assert traces[0] == traces[1]
+
+
+@pytest.fixture(scope="module")
+def pages_raw(tmp_path_factory):
+    """The raw records generated from three 3-page documents."""
+    root = tmp_path_factory.mktemp("pages")
+    (root / "corpus").mkdir()
+    for seed in range(3):
+        annotation = random_annotation(seed, n_pages=3)
+        (root / "corpus" / f"{seed:02d}.json").write_text(json.dumps(annotation))
+    raw = root / "raw.jsonl"
+    assert main(["generate", "--in", str(root / "corpus"), "--out", str(raw), "--seed", "3"]) == 0
+    return raw
+
+
+def _balance(raw, out, *flags):
+    return main(["balance", "--in", str(raw), "--out", str(out), "--seed", "5", *flags])
+
+
+def test_balance_holds_a_small_row_per_record_not_the_records(pages_raw, tmp_path):
+    # a decoded record takes about 430 B; balance keeps the qid and a row shared
+    # by the records that agree on their keys, and decodes the kept ones again
+    out, report = tmp_path / "b.jsonl", tmp_path / "r.json"
+    assert _balance(pages_raw, out, "--report", str(report)) == 0  # fills the caches
+    code, _, peak = _traced_peak(lambda: _balance(pages_raw, out, "--report", str(report)))
+    records = len(pages_raw.read_text().splitlines())
+    assert code == 0 and records > 3000
+    assert peak < 250 * records
+
+
+def test_balance_decodes_only_the_kept_a_b_lines_twice(pages_raw, tmp_path, monkeypatch):
+    # a Task C record is never balanced: it is held as read and written as held
+    decoded = []
+    record_from_json = dataset.record_from_json
+
+    def counted(data):
+        decoded.append(data["task"])
+        return record_from_json(data)
+    monkeypatch.setattr(dataset, "record_from_json", counted)
+    out = tmp_path / "b.jsonl"
+    assert _balance(pages_raw, out) == 0
+    read = [json.loads(line)["task"] for line in pages_raw.read_text().splitlines()]
+    kept = [json.loads(line)["task"] for line in out.read_text().splitlines()]
+    assert "C" in read and len(kept) < len(read)
+    assert sorted(decoded) == sorted(read + [task for task in kept if task != "C"])
+
+
+def _non_canonical(line: str, i: int) -> str:
+    """The record on line as JSON that reads back as the same record, written
+    another way: keys and binding slots reversed, other separators, spaces and
+    tabs around it, and an \\u00e9 escape or a raw é in its question."""
+    data = json.loads(line)
+    data["bindings"] = dict(reversed(data["bindings"].items()))
+    data["question"] += " caf\u00e9"
+    data = dict(reversed(data.items()))
+    text = json.dumps(data, ensure_ascii=i % 2 == 0, separators=(",", ":") if i % 3 else None)
+    return (" \t" if i % 4 == 0 else "") + text + ("\t " if i % 5 == 0 else "")
+
+
+def test_balance_writes_non_canonical_input_as_the_records_it_reads(pages_raw, tmp_path, capsys):
+    lines = pages_raw.read_text().splitlines()
+    raw = tmp_path / "raw.jsonl"
+    body = [_non_canonical(line, i) for i, line in enumerate(lines)]
+    for i in range(0, len(body), 7):
+        body[i] += "\r\n" + (" \t" if i % 2 else "")  # a blank line after some
+    raw.write_bytes("\r\n".join(body).encode("utf-8") + b"\r\n")
+    out, expected = tmp_path / "b.jsonl", tmp_path / "expected.jsonl"
+    assert _balance(raw, out) == 0
+    kept = balance(read_records_jsonl(raw), BalanceConfig(seed=5))
+    assert 0 < len(kept) < len(lines)
+    write_records_jsonl(kept, expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+    # a bad line after good ones is named with its line; nothing is written
+    bad = body[:40] + [_a01_line(0, template_id="Z99")] + body[40:]
+    raw.write_bytes("\r\n".join(bad).encode("utf-8") + b"\r\n")
+    out.unlink()
+    lineno = len("\n".join(bad[:40]).splitlines()) + 1  # blank lines count
+    assert _balance(raw, out) == 1
+    assert f"error: SchemaViolation: {raw}:{lineno}: unknown template_id 'Z99'" in (
+        capsys.readouterr().err)
+    assert not out.exists() and not Path(f"{out}.tmp").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_balance_refuses_a_named_pipe_it_could_read_only_once(tmp_path, capsys):
+    # refused before it is opened: opening a pipe with no writer would block
+    fifo, out = tmp_path / "raw.fifo", tmp_path / "b.jsonl"
+    os.mkfifo(fifo)
+    assert _balance(fifo, out) == 1
+    assert capsys.readouterr().err == (f"error: IoFailure: cannot read {fifo} twice: "
+                                       f"it is not a regular file\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.fifo"]
+
+
+def _blank_lines_appended(raw: Path) -> None:
+    raw.write_text(raw.read_text() + "\n \n")
+
+
+def _first_question_edited(raw: Path) -> None:
+    # the same length, the same qids: only the file's time shows the change
+    raw.write_text(raw.read_text().replace('?", "template_id"', '.", "template_id"', 1))
+
+
+def _reversed_lines(raw: Path) -> None:
+    raw.write_text("\n".join(reversed(raw.read_text().splitlines())) + "\n")
+
+
+def _first_lines(raw: Path) -> None:
+    raw.write_text("\n".join(raw.read_text().splitlines()[:-3]) + "\n")
+
+
+@pytest.mark.parametrize("change, same_stamp", [
+    (_blank_lines_appended, False),  # the same records: the size differs
+    (_first_question_edited, False),
+    (_reversed_lines, False),
+    (_reversed_lines, True),  # a qid on a kept line differs
+    (_first_lines, True),  # the count of records differs
+])
+def test_balance_fails_on_input_that_changes_between_its_reads(
+        pages_raw, tmp_path, monkeypatch, capsys, change, same_stamp):
+    raw, out = tmp_path / "raw.jsonl", tmp_path / "b.jsonl"
+    raw.write_bytes(pages_raw.read_bytes())
+    stage = cli.balance_answers
+
+    def change_then_balance(rows, cfg):
+        change(raw)
+        return stage(rows, cfg)
+    monkeypatch.setattr(cli, "balance_answers", change_then_balance)
+    if same_stamp:  # a change that the file's size and times do not show
+        monkeypatch.setattr(dataset, "_stamp", lambda file: ())
+    assert _balance(raw, out) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: IoFailure: {raw} changed after its first read")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.jsonl"]
 
 
 def _a01_line(i, **fields):

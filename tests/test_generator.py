@@ -10,7 +10,9 @@ from docqa_forge import generator as generator_module
 from docqa_forge import graphs as graphs_module
 from docqa_forge.errors import BadParameter
 from docqa_forge.generator import (
+    Binding,
     GenConfig,
+    binding_layout,
     count_by_type,
     generate_corpus,
     generate_document,
@@ -63,6 +65,14 @@ def test_templates_of_one_group_share_each_binding_row(p1_doc):
     assert len({id(r.binding) for r in records}) == len(rows)
     # the slot names are a tuple of the registry's, not one per binding
     assert len({id(r.binding._names) for r in records}) <= len({r.template_id for r in records})
+
+
+def test_a_binding_layout_is_its_names_and_values_in_order():
+    binding = Binding(("E", "pos"), ("table", "top"))
+    assert binding_layout(binding) == (("E", "pos"), ("table", "top"))
+    assert binding_layout(dict(binding)) == binding_layout(binding)
+    # an equal binding in another order is laid out apart
+    assert binding_layout({"pos": "top", "E": "table"}) == (("pos", "E"), ("top", "table"))
 
 
 def test_records_sorted_canonically_within_template(p1_doc):

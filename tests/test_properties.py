@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import balance, record_to_json
+from reference import balance, record_to_json, rows_of
 from synthcorpus import random_annotation, random_processed_document
 from docqa_forge.balance import BalanceConfig, balance_report
 from docqa_forge.dataset import jsonl_lines, split_corpus
@@ -156,7 +156,8 @@ def test_jsonl_line_is_accepted_exactly_when_json_loads_accepts_it(tmp_path, tex
     except (ValueError, RecursionError):
         expected = None
     try:
-        got = jsonl_lines(path, lambda value: value)
+        got = []
+        jsonl_lines(path, got.append)
     except SchemaViolation:
         got = None
     assert json.dumps(got) == json.dumps(expected)  # NaN equals itself here
@@ -220,7 +221,7 @@ def _generated():
     records = generate_corpus(docs, GenConfig(seed=7), max_workers=1).records
     kept = balance(records, _BALANCE)
     assert 0 < len(kept) < len(records)  # some buckets are capped
-    return records, kept, balance_report(records, kept), _split_qids(kept)
+    return records, kept, balance_report(rows_of(records), rows_of(kept)), _split_qids(kept)
 
 
 @settings(max_examples=10, deadline=None)
@@ -232,7 +233,7 @@ def test_balance_and_split_do_not_depend_on_input_order(seed):
     kept_shuffled = balance(shuffled, _BALANCE)
     kept_qids = {r.qid for r in kept}
     assert [r.qid for r in kept_shuffled] == [r.qid for r in shuffled if r.qid in kept_qids]
-    assert balance_report(shuffled, kept_shuffled) == report
+    assert balance_report(rows_of(shuffled), rows_of(kept_shuffled)) == report
     assert _split_qids(kept_shuffled) == split_qids
 
 
